@@ -18,7 +18,6 @@ from .bands import (
     rn,
 )
 from .copula import (
-    FrankCopula,
     frank_cdf,
     frank_conditional_sample,
     frank_partials,
@@ -27,7 +26,6 @@ from .copula import (
     frechet_upper,
 )
 from .estimator import (
-    BandwidthSpec,
     CopulaGrid,
     PairedSample,
     PseudoSample,
@@ -48,12 +46,7 @@ from .montecarlo import (
     run_lil_check,
 )
 from .specfun import (
-    EPANECHNIKOV,
-    PROBIT,
-    SmoothingKernel,
-    Transformation,
     epanechnikov_cdf,
-    normal_cdf,
     normal_quantile,
 )
 
@@ -64,21 +57,15 @@ __all__ = [
     "BandMethod",
     "BandSpec",
     "BandSurfaces",
-    "BandwidthSpec",
     "CopulaGrid",
     "CoverageReport",
     "CoverageRow",
     "DeviationReport",
     "DeviationRow",
-    "EPANECHNIKOV",
     "ExperimentConfig",
-    "FrankCopula",
     "NumericError",
-    "PROBIT",
     "PairedSample",
     "PseudoSample",
-    "SmoothingKernel",
-    "Transformation",
     "covers",
     "default_bandwidth",
     "epanechnikov_cdf",
@@ -94,7 +81,6 @@ __all__ = [
     "lil_bands",
     "make_pseudo_sample",
     "normal_bands",
-    "normal_cdf",
     "normal_quantile",
     "rn",
     "run_bias_check",

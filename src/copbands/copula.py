@@ -14,14 +14,12 @@ intermediate overflow for large ``|theta|``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "INDEPENDENCE_THRESHOLD",
     "THETA_MAX",
-    "FrankCopula",
     "frank_cdf",
     "frank_partials",
     "frank_conditional_sample",
@@ -184,6 +182,9 @@ def frank_partials(theta, u, v):
         cu[va == 1.0] = 1.0
         cv[ua == 0.0] = 0.0
         cv[ua == 1.0] = 1.0
+        # rounding overshoots 1 by an ulp at strong negative dependence
+        np.clip(cu, 0.0, 1.0, out=cu)
+        np.clip(cv, 0.0, 1.0, out=cv)
 
     if scalar:
         return float(cu[0]), float(cv[0])
@@ -280,29 +281,3 @@ def frank_sigma2(theta, u, v):
     if scalar:
         return float(s2[0])
     return s2
-
-
-@dataclass(frozen=True)
-class FrankCopula:
-    """Frank copula with a fixed dependence parameter.
-
-    Thin immutable wrapper binding ``theta`` to the module operations;
-    safe to share across threads and processes.
-    """
-
-    theta: float
-
-    def __post_init__(self):
-        _check_theta(self.theta)
-
-    def cdf(self, u, v):
-        return frank_cdf(self.theta, u, v)
-
-    def partials(self, u, v):
-        return frank_partials(self.theta, u, v)
-
-    def conditional_sample(self, u, w):
-        return frank_conditional_sample(self.theta, u, w)
-
-    def sigma2(self, u, v):
-        return frank_sigma2(self.theta, u, v)

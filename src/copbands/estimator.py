@@ -1,13 +1,13 @@
-"""Transformation kernel estimator of a bivariate copula.
+"""Probit-transformation kernel estimator of a bivariate copula.
 
 The estimator maps pseudo-observations and evaluation coordinates through
-the inverse of a strictly increasing transformation (Probit by default),
-then averages products of integrated-kernel factors:
+the standard normal quantile (the Probit transformation), then averages
+products of integrated-kernel factors:
 
     Chat(u, v) = (1/n) * sum_i K((q(u) - q(Uhat_i)) / h) * K((q(v) - q(Vhat_i)) / h)
 
-with q the transformation inverse and K the kernel CDF. Smoothing on the
-transformed scale avoids boundary bias, and the extended-real conventions
+with q the normal quantile and K the Epanechnikov kernel CDF. Smoothing on
+the transformed scale avoids boundary bias, and the extended-real conventions
 (q(0) = -inf, q(1) = +inf, K(-inf) = 0, K(+inf) = 1) make the copula
 boundary values exact.
 """
@@ -18,14 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .specfun import EPANECHNIKOV, PROBIT, SmoothingKernel, Transformation
+from .specfun import epanechnikov_cdf, normal_quantile
 
 __all__ = [
     "PairedSample",
     "PseudoSample",
-    "BandwidthSpec",
     "CopulaGrid",
     "make_pseudo_sample",
     "estimate_point",
@@ -89,16 +87,6 @@ class PseudoSample:
         return int(self.us.size)
 
 
-@dataclass(frozen=True)
-class BandwidthSpec:
-    """Bandwidth together with its validity window [c log n / n, b_n]."""
-
-    h: float
-    c: float
-    b_n: float
-    in_window: bool
-
-
 def _check_knots(name: str, knots) -> np.ndarray:
     arr = np.asarray(knots, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -141,6 +129,12 @@ class CopulaGrid:
         return float(np.max(np.abs(self.values - other.values)))
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, each tie group given the mean of the ranks it spans."""
+    _, inv, cnt = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
+
+
 def make_pseudo_sample(sample: PairedSample) -> PseudoSample:
     """Rank-transform a raw sample into pseudo-observations rank/(n+1).
 
@@ -151,9 +145,7 @@ def make_pseudo_sample(sample: PairedSample) -> PseudoSample:
     either margin.
     """
     denom = sample.n + 1.0
-    us = rankdata(sample.xs, method="average") / denom
-    vs = rankdata(sample.ys, method="average") / denom
-    return PseudoSample(us, vs)
+    return PseudoSample(_midranks(sample.xs) / denom, _midranks(sample.ys) / denom)
 
 
 def estimate_grid(
@@ -161,16 +153,14 @@ def estimate_grid(
     h: float,
     u_knots,
     v_knots=None,
-    transformation: Transformation = PROBIT,
-    kernel: SmoothingKernel = EPANECHNIKOV,
 ) -> CopulaGrid:
     """Evaluate the estimator on the product grid u_knots x v_knots.
 
     The double sum separates per axis: one n x |knots| table of kernel
     factors per coordinate, combined by a single matrix product, so the
     cost is O(n·(|u_knots| + |v_knots|) + n·|u_knots|·|v_knots|) flops
-    instead of a full kernel sum per grid node. The transformation inverse
-    is applied to the pseudo-observations once per call.
+    instead of a full kernel sum per grid node. The normal quantile is
+    applied to the pseudo-observations once per call.
 
     Parameters
     ----------
@@ -188,15 +178,15 @@ def estimate_grid(
     uk = _check_knots("u_knots", u_knots)
     vk = uk if v_knots is None else _check_knots("v_knots", v_knots)
 
-    tu = np.asarray(transformation.inverse(pseudo.us), dtype=float)
-    tv = np.asarray(transformation.inverse(pseudo.vs), dtype=float)
-    su = np.asarray(transformation.inverse(uk), dtype=float)
-    sv = np.asarray(transformation.inverse(vk), dtype=float)
+    tu = normal_quantile(pseudo.us)
+    tv = normal_quantile(pseudo.vs)
+    su = normal_quantile(uk)
+    sv = normal_quantile(vk)
 
     # (grid, n) factor tables; +/-inf grid coordinates hit the kernel's
     # exact 0/1 plateaus, never a nan
-    ku = kernel.cdf((su[:, None] - tu[None, :]) / h)
-    kv = kernel.cdf((sv[:, None] - tv[None, :]) / h)
+    ku = epanechnikov_cdf((su[:, None] - tu[None, :]) / h)
+    kv = epanechnikov_cdf((sv[:, None] - tv[None, :]) / h)
     values = (ku @ kv.T) / pseudo.n
     return CopulaGrid(uk, vk, values)
 
@@ -206,38 +196,27 @@ def estimate_point(
     h: float,
     u: float,
     v: float,
-    transformation: Transformation = PROBIT,
-    kernel: SmoothingKernel = EPANECHNIKOV,
 ) -> float:
     """Estimator value at a single coordinate pair.
 
     Defined as the 1x1 special case of :func:`estimate_grid`, so the two
     agree bit-for-bit at shared coordinates.
     """
-    grid = estimate_grid(
-        pseudo, h, np.array([float(u)]), np.array([float(v)]), transformation, kernel
-    )
+    grid = estimate_grid(pseudo, h, np.array([float(u)]), np.array([float(v)]))
     return float(grid.values[0, 0])
 
 
-def default_bandwidth(n: int, c: float = 1.0) -> BandwidthSpec:
-    """Bandwidth schedule h = 1/log(n) with its validity window.
+def default_bandwidth(n: int) -> float:
+    """Default bandwidth schedule h = 1/log(n).
 
-    The window [c·log n / n, b_n] with b_n = n^(-1/4) is the range in
-    which the band theory applies; ``in_window`` records whether the
-    default h lands inside it. With c = 1 the flag is true from n = 5 up
-    to roughly n = 5.5e3 and false outside: at tiny n the bandwidth
-    exceeds b_n, and asymptotically 1/log n decays slower than n^(-1/4).
+    The band theory asks for h inside [log n / n, n^(-1/4)]; 1/log n lands
+    there from n = 5 up to roughly n = 5.5e3. At tiny n it exceeds
+    n^(-1/4), and asymptotically it decays slower than n^(-1/4).
     """
     n = int(n)
     if n < 3:
         raise ValueError("n must be >= 3 (log log n is undefined or nonpositive below that)")
-    if not c > 0.0:
-        raise ValueError("window constant c must be positive")
-    h = 1.0 / math.log(n)
-    b_n = n ** -0.25
-    in_window = (c * math.log(n) / n <= h <= b_n) and b_n < 1.0
-    return BandwidthSpec(h=h, c=c, b_n=b_n, in_window=in_window)
+    return 1.0 / math.log(n)
 
 
 def interior_grid(resolution: int = 33, include_boundary: bool = False) -> np.ndarray:

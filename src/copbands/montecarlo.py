@@ -19,15 +19,15 @@ unset); a single worker runs in-process with no pool.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .bands import BandMethod, BandSpec, covers, lil_bands, normal_bands, rn
-from .copula import frank_cdf, frank_conditional_sample, frank_sigma2
+from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
 from .estimator import (
     CopulaGrid,
     PairedSample,
@@ -56,15 +56,15 @@ WORKERS_ENV = "COPBANDS_WORKERS"
 # worker count, or floating-point reductions would reorder.
 REPLICATE_CHUNK = 64
 
-BandwidthRule = Union[None, float, Callable[[int], float]]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one replication experiment.
 
-    ``bandwidth`` may be None (the default schedule 1/log n), a fixed
-    positive number, or a callable n -> h for experimentation.
+    ``bandwidth`` is None (the default schedule 1/log n) or a fixed
+    positive number. ``seed``, ``B`` and the numbers of thetas and ns are
+    bounded by the width of their field in the per-replicate stream key,
+    so that no two experiments share a random stream.
     """
 
     thetas: tuple
@@ -72,25 +72,36 @@ class ExperimentConfig:
     B: int
     seed: int
     grid_resolution: int = 33
-    bandwidth: BandwidthRule = None
+    bandwidth: float | None = None
     band_specs: tuple = (BandSpec(BandMethod.LIL),)
 
     def __post_init__(self):
         thetas = tuple(float(t) for t in self.thetas)
         if not thetas or not all(np.isfinite(thetas)):
             raise ValueError("thetas must be a nonempty list of finite reals")
+        if any(abs(t) > THETA_MAX for t in thetas):
+            raise ValueError(f"|theta| must be <= {THETA_MAX:g} (exp overflow in the sampler)")
         ns = tuple(int(n) for n in self.ns)
         if not ns or any(n < 16 for n in ns):
             raise ValueError("all sample sizes must be >= 16")
-        if int(self.B) < 1:
-            raise ValueError("B must be >= 1")
+        for name, values in (("thetas", thetas), ("ns", ns)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
+            if len(values) > 2**16:
+                raise ValueError(f"at most 2**16 {name} (16-bit stream-key field)")
+        if not 1 <= int(self.B) <= 2**32:
+            raise ValueError("B must be >= 1 and <= 2**32 (32-bit stream-key field)")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError("seed must lie in [0, 2**64) (64-bit stream-key field)")
         if int(self.grid_resolution) < 2:
             raise ValueError("grid resolution must be >= 2")
         specs = tuple(self.band_specs)
         if not specs or not all(isinstance(s, BandSpec) for s in specs):
             raise ValueError("band_specs must be a nonempty list of BandSpec")
-        if isinstance(self.bandwidth, (int, float)) and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if self.bandwidth is not None:
+            if not isinstance(self.bandwidth, numbers.Real) or not self.bandwidth > 0:
+                raise ValueError("bandwidth must be None or a positive number")
+            object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "B", int(self.B))
@@ -100,13 +111,8 @@ class ExperimentConfig:
 
     def bandwidth_for(self, n: int) -> float:
         if self.bandwidth is None:
-            return default_bandwidth(n).h
-        if callable(self.bandwidth):
-            h = float(self.bandwidth(n))
-            if not h > 0:
-                raise ValueError("bandwidth rule returned a nonpositive value")
-            return h
-        return float(self.bandwidth)
+            return default_bandwidth(n)
+        return self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,11 @@ class DeviationReport:
 
 
 def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int) -> int:
-    """128-bit Philox key: master seed (high 64) | theta | n | replicate."""
+    """128-bit Philox key: master seed (high 64) | theta | n | replicate.
+
+    The masks alias values wider than their field onto smaller ones;
+    ``ExperimentConfig`` rejects such values before any stream is keyed.
+    """
     return (
         ((seed & 0xFFFFFFFFFFFFFFFF) << 64)
         | ((theta_idx & 0xFFFF) << 48)

@@ -1,91 +1,28 @@
-"""Probit transformation pair and the integrated Epanechnikov kernel.
+"""Probit transformation and the integrated Epanechnikov kernel.
 
-The copula estimator smooths on a transformed scale: grid coordinates and
-pseudo-observations are mapped through the quantile function of a strictly
-increasing distribution (the Probit choice uses the standard normal), and
-the smoothing weights come from the CDF of a compactly supported kernel
-density. Both ingredients are exposed behind small interface types so the
-estimator stays generic, with the Probit/Epanechnikov pair shipped as the
-default instances.
+The copula estimator smooths on the Probit scale: grid coordinates and
+pseudo-observations are mapped through the standard normal quantile, and
+the smoothing weights come from the CDF of the Epanechnikov density, whose
+support is [-1, 1]. This module is the only one that knows that choice;
+the estimator calls these two functions directly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 __all__ = [
-    "Transformation",
-    "SmoothingKernel",
-    "PROBIT",
-    "EPANECHNIKOV",
-    "normal_cdf",
     "normal_quantile",
     "epanechnikov_cdf",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's piecewise rational approximation of the normal quantile.
-# Raw accuracy is ~1.15e-9 relative; one Halley step against the erf-based
-# CDF below pushes it to machine precision.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-# exp(x*x/2) must stay finite for the Halley correction to be evaluable
-_REFINE_CUTOFF = 37.0
-
-
-def normal_cdf(x):
-    """Standard normal CDF, exact to machine precision.
-
-    Accepts scalars or arrays; ``+/-inf`` map to 1 and 0.
-    """
-    out = ndtr(np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _acklam(p):
-    """Raw piecewise rational approximation on (0, 1), vectorized."""
-    x = np.empty_like(p)
-    lo = (p > 0.0) & (p < _P_LOW)
-    hi = (p > 1.0 - _P_LOW) & (p < 1.0)
-    mid = (p >= _P_LOW) & (p <= 1.0 - _P_LOW)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = q * num / den
-    for mask, sign, tail_p in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(tail_p))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-            x[mask] = sign * num / den
-    return x
-
 
 def normal_quantile(p):
-    """Standard normal quantile (the inverse of :func:`normal_cdf`).
+    """Standard normal quantile, ``scipy.special.ndtri`` on [0, 1].
 
-    Piecewise rational approximation refined by one Halley step using the
-    erf-based CDF; the result is accurate to well below 1e-9 absolute
-    error everywhere on (0, 1). Endpoints map to ``-inf`` and ``+inf``.
+    Endpoints map to ``-inf`` and ``+inf``, which the kernel CDF absorbs
+    into its exact 0/1 plateaus.
 
     Parameters
     ----------
@@ -98,29 +35,13 @@ def normal_quantile(p):
         If any value lies outside [0, 1] or is NaN.
     """
     pa = np.asarray(p, dtype=float)
-    if np.any(np.isnan(pa)) or np.any(pa < 0.0) or np.any(pa > 1.0):
+    # NaN fails both comparisons
+    if not np.all((pa >= 0.0) & (pa <= 1.0)):
         raise ValueError("normal_quantile requires probabilities in [0, 1]")
-    scalar = pa.ndim == 0
-    pa = np.atleast_1d(pa).copy()
-
-    x = _acklam(pa)
-    x[pa == 0.0] = -np.inf
-    x[pa == 1.0] = np.inf
-
-    # One Halley step: with e = CDF(x) - p and u = e / pdf(x),
-    # x <- x - u / (1 + x*u/2). Skipped in the far tails where exp(x*x/2)
-    # would overflow; the raw approximation is already exact there in
-    # absolute terms.
-    refine = np.isfinite(x) & (np.abs(x) < _REFINE_CUTOFF)
-    if np.any(refine):
-        xr = x[refine]
-        e = ndtr(xr) - pa[refine]
-        u = e * _SQRT_2PI * np.exp(0.5 * xr * xr)
-        x[refine] = xr - u / (1.0 + 0.5 * xr * u)
-
-    if scalar:
-        return float(x[0])
-    return x
+    out = ndtri(pa)
+    if pa.ndim == 0:
+        return float(out)
+    return out
 
 
 def epanechnikov_cdf(t):
@@ -134,34 +55,3 @@ def epanechnikov_cdf(t):
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """Strictly increasing map from the extended reals onto [0, 1].
-
-    ``forward`` is the distribution function, ``inverse`` its quantile;
-    ``inverse`` must return ``-/+inf`` at 0 and 1 so that compactly
-    supported kernel CDFs absorb the grid boundary exactly.
-    """
-
-    name: str
-    forward: Callable
-    inverse: Callable
-
-
-@dataclass(frozen=True)
-class SmoothingKernel:
-    """Integrated smoothing kernel: the CDF of a symmetric density.
-
-    ``support`` is the half-width of the density's support, so
-    ``cdf(t) = 0`` for ``t <= -support`` and ``1`` for ``t >= support``.
-    """
-
-    name: str
-    cdf: Callable
-    support: float
-
-
-PROBIT = Transformation("probit", normal_cdf, normal_quantile)
-EPANECHNIKOV = SmoothingKernel("epanechnikov", epanechnikov_cdf, 1.0)

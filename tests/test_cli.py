@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, config parsing, exit codes, CSV."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import copbands
 import copbands.cli as cli
 from copbands.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -98,6 +103,32 @@ def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
     assert len(lines) == 1 + 25
     manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
     assert manifest["parameters"]["bandwidth"] == 0.4
+
+
+@pytest.mark.parametrize("command", ["estimate", "bands"])
+@pytest.mark.parametrize(
+    "option, message",
+    [("--grid=1", "grid resolution"), ("--bandwidth=0", "bandwidth")],
+    ids=["grid-1", "bandwidth-0"],
+)
+def test_invalid_grid_or_bandwidth_exits_2(frank_xy, tmp_path, capsys, command, option,
+                                           message):
+    data = frank_xy(n=30)
+    out = tmp_path / "x.csv"
+    assert main([command, str(data), option, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up; the CLI must not need it
+    code = "import sys, copbands, copbands.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(copbands.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------- bands
@@ -260,6 +291,24 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
     code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
     assert code == EXIT_USAGE
     assert "unknown method 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"thetas": "1, 800"}, "|theta| must be <= 700"),
+        ({"thetas": "1, 1.0"}, "thetas must not repeat"),
+        ({"ns": "16, 16"}, "ns must not repeat"),
+        ({"seed": "-1"}, "seed must lie in [0, 2**64)"),
+    ],
+    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed"],
+)
+def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
+    cfg = _config(tmp_path, **overrides)
+    out = tmp_path / "c.csv"
+    assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_comments_and_auto_bandwidth(tmp_path):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copbands.copula import (
     INDEPENDENCE_THRESHOLD,
     THETA_MAX,
-    FrankCopula,
     frank_cdf,
     frank_conditional_sample,
     frank_partials,
@@ -130,7 +131,7 @@ def test_partials_match_finite_differences_bulk(theta):
     assert float(np.max(np.abs(cv - fd_v))) <= 1e-6
 
 
-@pytest.mark.parametrize("theta", [-2.0, 1.0, 10.0])
+@pytest.mark.parametrize("theta", [-700.0, -100.0, -2.0, 1.0, 10.0])
 def test_partials_boundary_limits_and_range(theta):
     t = _unit_grid(21)[1:-1]
     cu, cv = frank_partials(theta, t, np.ones_like(t))
@@ -271,20 +272,25 @@ def test_sigma2_scalar_type():
     assert isinstance(out, float) and out > 0.0
 
 
-# ------------------------------------------------------------- FrankCopula
+# ------------------------------------------------------ contract properties
+
+_UNIT = st.floats(0.0, 1.0)
 
 
-def test_frank_copula_dataclass_delegates():
-    cop = FrankCopula(theta=2.5)
-    assert cop.cdf(0.4, 0.6) == frank_cdf(2.5, 0.4, 0.6)
-    assert cop.partials(0.4, 0.6) == frank_partials(2.5, 0.4, 0.6)
-    assert cop.conditional_sample(0.4, 0.6) == frank_conditional_sample(2.5, 0.4, 0.6)
-    assert cop.sigma2(0.4, 0.6) == frank_sigma2(2.5, 0.4, 0.6)
-
-
-def test_frank_copula_rejects_bad_theta():
-    with pytest.raises(ValueError):
-        FrankCopula(theta=np.nan)
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-THETA_MAX, THETA_MAX), _UNIT, _UNIT, _UNIT, _UNIT)
+def test_frank_contracts_over_supported_theta(theta, a, b, c, d):
+    u = np.array(sorted((a, b)))[:, None]
+    v = np.array(sorted((c, d)))[None, :]
+    cdf = frank_cdf(theta, u, v)
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+    assert np.all(cdf >= frechet_lower(u, v) - 1e-12)
+    assert np.all(cdf <= frechet_upper(u, v) + 1e-12)
+    # mass of the rectangle [u1, u2] x [v1, v2]
+    assert cdf[1, 1] - cdf[0, 1] - cdf[1, 0] + cdf[0, 0] >= -1e-12
+    cu, cv = frank_partials(theta, u, v)
+    assert np.all((cu >= 0.0) & (cu <= 1.0))
+    assert np.all((cv >= 0.0) & (cv <= 1.0))
 
 
 def test_independence_threshold_documented_value():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copbands.estimator import (
     CopulaGrid,
@@ -71,6 +73,19 @@ def test_pseudo_sample_rank_invariance_under_monotone_maps():
 def test_pseudo_sample_ties_use_mid_ranks():
     pseudo = make_pseudo_sample(PairedSample(np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])))
     np.testing.assert_allclose(pseudo.us, [1.5 / 4.0, 1.5 / 4.0, 3.0 / 4.0])
+
+
+def test_pseudo_sample_matches_scipy_average_ranks():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(2, 300))
+        xs = rng.normal(size=n)  # untied
+        ys = rng.integers(0, max(2, n // 4), size=n).astype(float)  # heavily tied
+        pseudo = make_pseudo_sample(PairedSample(xs, ys))
+        np.testing.assert_array_equal(pseudo.us, rankdata(xs, method="average") / (n + 1.0))
+        np.testing.assert_array_equal(pseudo.vs, rankdata(ys, method="average") / (n + 1.0))
 
 
 # ----------------------------------------------------------- estimate_point
@@ -172,6 +187,47 @@ def test_estimate_grid_small_bandwidth_limit_is_empirical_copula():
     assert float(np.max(np.abs(grid - emp))) <= 1.0 / pseudo.n
 
 
+# Integer-valued margins, so ties are common and every map below is
+# strictly increasing in floating point on them.
+_MARGIN_MAPS = (
+    lambda x: np.exp(x / 100.0),
+    lambda x: np.arctan(x / 50.0),
+    lambda x: x**3,
+    lambda x: 2.0 * x - 7.0,
+)
+
+
+@st.composite
+def _raw_samples(draw):
+    n = draw(st.integers(2, 40))
+    column = st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)
+    xs = np.array(draw(column), dtype=float)
+    ys = np.array(draw(column), dtype=float)
+    return xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_samples(), st.floats(0.05, 2.0))
+def test_estimate_grid_properties(sample, h):
+    xs, ys = sample
+    knots = interior_grid(9, include_boundary=True)
+    grid = estimate_grid(make_pseudo_sample(PairedSample(xs, ys)), h, knots).values
+    assert np.all((grid >= 0.0) & (grid <= 1.0))
+    # monotone up to summation rounding, n·eps for n <= 40
+    assert np.all(np.diff(grid, axis=0) >= -1e-14)
+    assert np.all(np.diff(grid, axis=1) >= -1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_raw_samples(), st.sampled_from(_MARGIN_MAPS), st.sampled_from(_MARGIN_MAPS))
+def test_estimate_grid_unchanged_under_increasing_margin_maps(sample, f, g):
+    xs, ys = sample
+    knots = interior_grid(7)
+    base = estimate_grid(make_pseudo_sample(PairedSample(xs, ys)), 0.3, knots)
+    mapped = estimate_grid(make_pseudo_sample(PairedSample(f(xs), g(ys))), 0.3, knots)
+    np.testing.assert_array_equal(base.values, mapped.values)
+
+
 def test_estimate_grid_rejects_bad_inputs():
     pseudo = _frank_pseudo(1.0, 20, 16)
     with pytest.raises(ValueError):
@@ -186,27 +242,13 @@ def test_estimate_grid_rejects_bad_inputs():
 
 
 def test_default_bandwidth_values():
-    spec = default_bandwidth(100)
-    assert spec.h == pytest.approx(1.0 / math.log(100), abs=1e-15)
-    assert spec.c == 1.0
-    assert spec.b_n == pytest.approx(100 ** -0.25, abs=1e-15)
-    assert default_bandwidth(3).h == pytest.approx(1.0 / math.log(3), abs=1e-15)
-
-
-def test_default_bandwidth_window_flag():
-    # h = 1/log n sits inside [log n / n, n^(-1/4)] through mid sizes and
-    # leaves through the top at small n, through the bottom at huge n
-    assert default_bandwidth(500).in_window is True
-    assert default_bandwidth(50).in_window is True
-    assert default_bandwidth(4).in_window is False
-    assert default_bandwidth(100_000).in_window is False
+    assert default_bandwidth(100) == pytest.approx(1.0 / math.log(100), abs=1e-15)
+    assert default_bandwidth(3) == pytest.approx(1.0 / math.log(3), abs=1e-15)
 
 
 def test_default_bandwidth_rejects_tiny_n():
     with pytest.raises(ValueError):
         default_bandwidth(2)
-    with pytest.raises(ValueError):
-        default_bandwidth(10, c=-1.0)
 
 
 # ------------------------------------------------------------ interior_grid

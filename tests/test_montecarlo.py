@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from copbands.bands import BandMethod, BandSpec
+from copbands.copula import THETA_MAX
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
     CoverageReport,
@@ -56,11 +57,49 @@ def test_config_validation():
 def test_config_bandwidth_rules():
     assert _small_config().bandwidth_for(100) == pytest.approx(1.0 / math.log(100))
     assert _small_config(bandwidth=0.3).bandwidth_for(100) == 0.3
-    rule = _small_config(bandwidth=lambda n: n**-0.5)
-    assert rule.bandwidth_for(100) == pytest.approx(0.1)
-    bad = _small_config(bandwidth=lambda n: -1.0)
-    with pytest.raises(ValueError):
-        bad.bandwidth_for(100)
+    with pytest.raises(ValueError, match="positive number"):
+        _small_config(bandwidth=lambda n: n**-0.5)
+
+
+def test_config_rejects_theta_beyond_sampler_range():
+    assert _small_config(thetas=(-THETA_MAX, THETA_MAX)).thetas == (-THETA_MAX, THETA_MAX)
+    with pytest.raises(ValueError, match="theta"):
+        _small_config(thetas=(1.0, 800.0))
+
+
+def test_config_rejects_duplicate_cells():
+    with pytest.raises(ValueError, match="thetas must not repeat"):
+        _small_config(thetas=(1.0, 1.0))
+    with pytest.raises(ValueError, match="ns must not repeat"):
+        _small_config(ns=(16, 24, 16))
+
+
+# Each bound is one past the widest value its stream-key field holds; at
+# the bound the key aliases onto the one shown.
+def test_config_seed_within_key_field():
+    assert _stream_key(2**64, 0, 0, 0) == _stream_key(0, 0, 0, 0)
+    assert _stream_key(-1, 0, 0, 0) == _stream_key(2**64 - 1, 0, 0, 0)
+    assert _small_config(seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            _small_config(seed=seed)
+
+
+def test_config_replicates_within_key_field():
+    assert _stream_key(0, 0, 0, 2**32) == _stream_key(0, 0, 0, 0)
+    assert _small_config(B=2**32).B == 2**32
+    with pytest.raises(ValueError, match="B must be"):
+        _small_config(B=2**32 + 1)
+
+
+def test_config_cell_counts_within_key_field():
+    assert _stream_key(0, 2**16, 0, 0) == _stream_key(0, 0, 0, 0)
+    thetas = tuple(np.linspace(-1.0, 1.0, 2**16 + 1))
+    assert len(_small_config(thetas=thetas[:-1]).thetas) == 2**16
+    with pytest.raises(ValueError, match="thetas"):
+        _small_config(thetas=thetas)
+    with pytest.raises(ValueError, match="ns"):
+        _small_config(ns=tuple(range(16, 16 + 2**16 + 1)))
 
 
 def test_stream_key_is_injective_across_fields():
