@@ -13,6 +13,7 @@ from .bands import (
     BandSurfaces,
     NumericError,
     covers,
+    half_width,
     lil_bands,
     normal_bands,
     rn,
@@ -77,6 +78,7 @@ __all__ = [
     "frank_sigma2",
     "frechet_lower",
     "frechet_upper",
+    "half_width",
     "interior_grid",
     "lil_bands",
     "make_pseudo_sample",

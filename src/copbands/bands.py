@@ -13,8 +13,9 @@ Two constructions over a shared grid:
   confidence. Pointwise by nature, so their simultaneous coverage over a
   grid falls well below the nominal level.
 
-``covers`` is the simultaneous-coverage predicate used by the Monte Carlo
-harness: the truth surface must lie inside the band at every grid knot.
+``half_width`` computes either half-width. ``covers`` is the simultaneous-
+coverage predicate the Monte Carlo harness counts over a stack of
+estimates: the truth must lie within estimate ± half-width at every knot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "BandSpec",
     "BandSurfaces",
     "rn",
+    "half_width",
     "lil_bands",
     "normal_bands",
     "covers",
@@ -79,12 +80,11 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class BandSurfaces:
-    """Lower/center/upper surfaces on a shared grid, plus run metadata."""
+    """Lower/center/upper surfaces on a shared grid."""
 
     lower: CopulaGrid
     center: CopulaGrid
     upper: CopulaGrid
-    metadata: dict[str, Any]
 
 
 def rn(n: int) -> float:
@@ -97,7 +97,25 @@ def rn(n: int) -> float:
     return math.sqrt(n / (2.0 * math.log(math.log(n))))
 
 
-def _surfaces(center: CopulaGrid, half_width, spec: BandSpec, metadata: dict) -> BandSurfaces:
+def half_width(spec: BandSpec, n: int, sigma2=None):
+    """(1 + epsilon)·A/R_n for LIL; z·sqrt(sigma2/n) for normal, where
+    ``sigma2`` is the variance surface of sqrt(n)(Chat - C), nonnegative
+    by construction (a negative entry raises :class:`NumericError`).
+    """
+    if spec.method is BandMethod.LIL:
+        return (1.0 + spec.epsilon) * spec.A / rn(n)
+    if sigma2 is None:
+        raise ValueError("normal bands require the variance surface sigma2")
+    if int(n) < 1:
+        raise ValueError("n must be positive")
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 < 0.0):
+        raise NumericError("negative sigma2 value: variance surface is invalid")
+    z = normal_quantile(0.5 * (1.0 + spec.confidence))
+    return z * np.sqrt(sigma2 / float(n))
+
+
+def _surfaces(center: CopulaGrid, half_width, spec: BandSpec) -> BandSurfaces:
     lower = center.values - half_width
     upper = center.values + half_width
     if spec.clamp:
@@ -107,7 +125,6 @@ def _surfaces(center: CopulaGrid, half_width, spec: BandSpec, metadata: dict) ->
         lower=CopulaGrid(center.u_knots, center.v_knots, lower),
         center=center,
         upper=CopulaGrid(center.u_knots, center.v_knots, upper),
-        metadata=metadata,
     )
 
 
@@ -115,16 +132,7 @@ def lil_bands(center: CopulaGrid, n: int, spec: BandSpec) -> BandSurfaces:
     """Constant-half-width simultaneous bands center ± (1+epsilon)·A/R_n."""
     if spec.method is not BandMethod.LIL:
         raise ValueError("lil_bands requires a spec with method=LIL")
-    half_width = (1.0 + spec.epsilon) * spec.A / rn(n)
-    metadata = {
-        "method": spec.method.value,
-        "n": int(n),
-        "A": spec.A,
-        "epsilon": spec.epsilon,
-        "clamp": spec.clamp,
-        "half_width": half_width,
-    }
-    return _surfaces(center, half_width, spec, metadata)
+    return _surfaces(center, half_width(spec, n), spec)
 
 
 def normal_bands(
@@ -132,36 +140,22 @@ def normal_bands(
 ) -> BandSurfaces:
     """Pointwise bands center ± z·sqrt(sigma2/n) at the spec confidence.
 
-    ``sigma2`` carries the asymptotic variance of sqrt(n)(Chat - C)
-    evaluated on the same grid as ``center``; negative entries are
-    rejected as a :class:`NumericError` since the variance is nonnegative
-    by construction.
+    ``sigma2`` must share the grid of ``center``; see :func:`half_width`.
     """
     if spec.method is not BandMethod.NORMAL:
         raise ValueError("normal_bands requires a spec with method=NORMAL")
-    if int(n) < 1:
-        raise ValueError("n must be positive")
     if not center.same_grid(sigma2):
         raise ValueError("sigma2 grid does not match the center grid")
-    if np.any(sigma2.values < 0.0):
-        raise NumericError("negative sigma2 value: variance surface is invalid")
-    z = normal_quantile(0.5 * (1.0 + spec.confidence))
-    half_width = z * np.sqrt(sigma2.values / float(n))
-    metadata = {
-        "method": spec.method.value,
-        "n": int(n),
-        "confidence": spec.confidence,
-        "clamp": spec.clamp,
-        "z": z,
-        "half_width_min": float(half_width.min()),
-        "half_width_max": float(half_width.max()),
-    }
-    return _surfaces(center, half_width, spec, metadata)
+    return _surfaces(center, half_width(spec, n, sigma2.values), spec)
 
 
-def covers(bands: BandSurfaces, truth: CopulaGrid) -> bool:
-    """Simultaneous coverage: truth inside the band at every grid knot."""
-    if not truth.same_grid(bands.center):
-        raise ValueError("truth grid does not match the band grid")
-    inside = (bands.lower.values <= truth.values) & (truth.values <= bands.upper.values)
-    return bool(np.all(inside))
+def covers(estimates, half_width, truth) -> np.ndarray:
+    """Per (G, G) surface of ``estimates``: is ``truth`` within ± half_width
+    at every knot? Clamping the band to [0, 1] could not change a verdict.
+    """
+    estimates = np.asarray(estimates)
+    truth = np.asarray(truth)
+    if estimates.shape[-2:] != truth.shape:
+        raise ValueError("truth grid does not match the estimate grid")
+    inside = (estimates - half_width <= truth) & (truth <= estimates + half_width)
+    return np.all(inside, axis=(-2, -1))

@@ -77,7 +77,7 @@ class PseudoSample:
         if us.size < 1:
             raise ValueError("pseudo-sample must be nonempty")
         for name, arr in (("us", us), ("vs", vs)):
-            if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            if not np.all((arr > 0.0) & (arr < 1.0)):
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "vs", vs)
@@ -123,11 +123,6 @@ class CopulaGrid:
             self.v_knots, other.v_knots
         )
 
-    def sup_diff(self, other: "CopulaGrid") -> float:
-        if not self.same_grid(other):
-            raise ValueError("grids do not match")
-        return float(np.max(np.abs(self.values - other.values)))
-
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n, each tie group given the mean of the ranks it spans."""
@@ -167,14 +162,14 @@ def estimate_grid(
     pseudo : PseudoSample
         Rank-transformed observations.
     h : float
-        Positive smoothing bandwidth on the transformed scale.
+        Positive finite smoothing bandwidth on the transformed scale.
     u_knots, v_knots : array_like
         Sorted evaluation coordinates in [0, 1]; ``v_knots`` defaults to
         ``u_knots``. Endpoints 0 and 1 are allowed and produce exact
         copula boundary values.
     """
-    if not h > 0.0:
-        raise ValueError("bandwidth h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth h must be positive and finite")
     uk = _check_knots("u_knots", u_knots)
     vk = uk if v_knots is None else _check_knots("v_knots", v_knots)
 

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandMethod, BandSpec, covers, lil_bands, normal_bands, rn
+from .bands import BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
 from .estimator import (
-    CopulaGrid,
     PairedSample,
     default_bandwidth,
     estimate_grid,
@@ -61,7 +60,7 @@ REPLICATE_CHUNK = 64
 class ExperimentConfig:
     """Inputs of one replication experiment.
 
-    ``bandwidth`` is None (the default schedule 1/log n) or a fixed
+    ``bandwidth`` is None (the default schedule 1/log n) or a fixed finite
     positive number. ``seed``, ``B`` and the numbers of thetas and ns are
     bounded by the width of their field in the per-replicate stream key,
     so that no two experiments share a random stream.
@@ -99,8 +98,8 @@ class ExperimentConfig:
         if not specs or not all(isinstance(s, BandSpec) for s in specs):
             raise ValueError("band_specs must be a nonempty list of BandSpec")
         if self.bandwidth is not None:
-            if not isinstance(self.bandwidth, numbers.Real) or not self.bandwidth > 0:
-                raise ValueError("bandwidth must be None or a positive number")
+            if not isinstance(self.bandwidth, numbers.Real) or not 0 < self.bandwidth < np.inf:
+                raise ValueError("bandwidth must be None or a finite positive number")
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "ns", ns)
@@ -222,27 +221,6 @@ def _run_tasks(fn, tasks, workers: int):
         return [future.result() for future in futures]
 
 
-def _coverage_chunk(args):
-    (seed, theta, theta_idx, n, n_idx, r0, r1, h, knots, specs, truth_values, sigma2_values) = args
-    truth = CopulaGrid(knots, knots, truth_values)
-    sigma2 = None
-    if sigma2_values is not None:
-        sigma2 = CopulaGrid(knots, knots, sigma2_values)
-    counts = np.zeros(len(specs), dtype=np.int64)
-    for r in range(r0, r1):
-        rng = _replicate_rng(seed, theta_idx, n_idx, r)
-        pseudo = _draw_pseudo(theta, n, rng)
-        center = estimate_grid(pseudo, h, knots)
-        for k, spec in enumerate(specs):
-            if spec.method is BandMethod.LIL:
-                surfaces = lil_bands(center, n, spec)
-            else:
-                surfaces = normal_bands(center, n, sigma2, spec)
-            if covers(surfaces, truth):
-                counts[k] += 1
-    return counts
-
-
 def _grid_chunk(args):
     (seed, theta, theta_idx, n, n_idx, r0, r1, h, knots) = args
     out = np.empty((r1 - r0, knots.size, knots.size))
@@ -253,48 +231,51 @@ def _grid_chunk(args):
     return out
 
 
+def _coverage_chunk(args):
+    """Covered replicates of one chunk, one count per band half-width."""
+    *grid_args, truth, half_widths = args
+    stack = _grid_chunk(grid_args)
+    return np.array([np.count_nonzero(covers(stack, hw, truth)) for hw in half_widths])
+
+
 def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     """Empirical simultaneous-coverage frequencies per (method, theta, n).
 
     Each replicate draws a Frank sample by conditional sampling, builds
-    pseudo-observations, estimates the copula on the shared interior grid,
-    constructs every requested band from the same estimate, and tests
-    simultaneous coverage of the true surface. Rows are emitted in
-    (method, theta, n) order with Monte Carlo standard errors
-    sqrt(p(1-p)/B) attached.
+    pseudo-observations and estimates the copula on the shared interior
+    grid. A band covers the replicate when the true surface lies within the
+    estimate ± the band's half-width, computed once per cell, at every
+    knot. Rows are emitted in (method, theta, n) order with Monte Carlo
+    standard errors sqrt(p(1-p)/B) attached.
     """
     workers = _resolve_workers(workers)
     knots = interior_grid(config.grid_resolution)
     need_sigma2 = any(spec.method is BandMethod.NORMAL for spec in config.band_specs)
 
     tasks = []
-    owners = []
     for i, theta in enumerate(config.thetas):
-        truth_values = frank_cdf(theta, knots[:, None], knots[None, :])
-        sigma2_values = None
+        truth = frank_cdf(theta, knots[:, None], knots[None, :])
+        sigma2 = None
         if need_sigma2:
-            sigma2_values = frank_sigma2(theta, knots[:, None], knots[None, :])
+            sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :])
         for j, n in enumerate(config.ns):
             h = config.bandwidth_for(n)
+            half_widths = [half_width(spec, n, sigma2) for spec in config.band_specs]
             for r0, r1 in _chunk_ranges(config.B):
                 tasks.append(
-                    (config.seed, theta, i, n, j, r0, r1, h, knots,
-                     config.band_specs, truth_values, sigma2_values)
+                    (config.seed, theta, i, n, j, r0, r1, h, knots, truth, half_widths)
                 )
-                owners.append((i, j))
 
-    counts = {}
-    for owner, chunk_counts in zip(owners, _run_tasks(_coverage_chunk, tasks, workers)):
-        if owner in counts:
-            counts[owner] = counts[owner] + chunk_counts
-        else:
-            counts[owner] = chunk_counts
+    # tasks run in (theta, n, chunk) order; sum each cell's chunks
+    chunk_counts = _run_tasks(_coverage_chunk, tasks, workers)
+    shape = (len(config.thetas), len(config.ns), -1, len(config.band_specs))
+    counts = np.reshape(chunk_counts, shape).sum(axis=2)
 
     rows = []
     for k, spec in enumerate(config.band_specs):
         for i, theta in enumerate(config.thetas):
             for j, n in enumerate(config.ns):
-                covered = int(counts[(i, j)][k])
+                covered = int(counts[i, j, k])
                 p = covered / config.B
                 stderr = float(np.sqrt(p * (1.0 - p) / config.B))
                 rows.append(

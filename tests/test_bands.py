@@ -10,6 +10,7 @@ from copbands.bands import (
     BandSpec,
     NumericError,
     covers,
+    half_width,
     lil_bands,
     normal_bands,
     rn,
@@ -77,7 +78,7 @@ def test_lil_bands_constant_half_width():
     hw = surfaces.upper.values - center.values
     np.testing.assert_allclose(hw, 0.11679274947052345, atol=1e-15)
     np.testing.assert_allclose(center.values - surfaces.lower.values, hw, atol=1e-15)
-    assert surfaces.metadata["half_width"] == pytest.approx(0.5 / rn(50), abs=1e-15)
+    assert half_width(BandSpec(BandMethod.LIL), 50) == pytest.approx(0.5 / rn(50), abs=1e-15)
 
 
 def test_lil_bands_epsilon_scales_half_width():
@@ -97,8 +98,7 @@ def test_lil_bands_clamp_to_unit_square():
 
 
 def test_lil_bands_half_width_decreasing_in_n():
-    widths = [lil_bands(_center(), n, BandSpec(BandMethod.LIL)).metadata["half_width"]
-              for n in (50, 100, 500, 5000)]
+    widths = [half_width(BandSpec(BandMethod.LIL), n) for n in (50, 100, 500, 5000)]
     assert all(b < a for a, b in zip(widths, widths[1:]))
 
 
@@ -130,14 +130,17 @@ def test_normal_bands_half_width_from_variance():
     assert center.u_knots[mid] == 0.5
     assert hw == pytest.approx(2.5758293035489004 * math.sqrt(0.0625 / 100.0), abs=1e-12)
     assert hw == pytest.approx(0.06439573258872251, abs=1e-12)
-    assert surfaces.metadata["z"] == pytest.approx(2.5758293035489004, abs=1e-9)
+    z = half_width(BandSpec(BandMethod.NORMAL), 1, 1.0)
+    assert z == pytest.approx(2.5758293035489004, abs=1e-9)
 
 
 def test_normal_bands_confidence_095_quantile():
     center = _center()
     spec = BandSpec(BandMethod.NORMAL, confidence=0.95, clamp=False)
     surfaces = normal_bands(center, 100, _sigma2_grid(center), spec)
-    assert surfaces.metadata["z"] == pytest.approx(1.9599639845400538, abs=1e-9)
+    assert half_width(spec, 1, 1.0) == pytest.approx(1.9599639845400538, abs=1e-9)
+    hw = half_width(spec, 100, _sigma2_grid(center).values)
+    np.testing.assert_array_equal(surfaces.upper.values, center.values + hw)
 
 
 def test_normal_bands_zero_variance_degenerates():
@@ -155,6 +158,10 @@ def test_normal_bands_rejects_negative_variance():
     sigma2 = CopulaGrid(knots, knots, np.full((3, 3), -1e-9) + np.eye(3))
     with pytest.raises(NumericError):
         normal_bands(center, 50, sigma2, BandSpec(BandMethod.NORMAL))
+    with pytest.raises(NumericError):
+        half_width(BandSpec(BandMethod.NORMAL), 50, sigma2.values)
+    with pytest.raises(ValueError, match="sigma2"):
+        half_width(BandSpec(BandMethod.NORMAL), 50)
 
 
 def test_normal_bands_rejects_grid_mismatch_and_wrong_method():
@@ -170,34 +177,53 @@ def test_normal_bands_rejects_grid_mismatch_and_wrong_method():
 
 def test_covers_truth_equal_center():
     center = _center()
-    surfaces = lil_bands(center, 50, BandSpec(BandMethod.LIL))
-    assert covers(surfaces, center) is True
+    assert covers(center.values, half_width(BandSpec(BandMethod.LIL), 50), center.values)
+    assert covers(center.values, 0.0, center.values)
 
 
 def test_covers_single_knot_violation():
     center = _center()
-    surfaces = lil_bands(center, 500, BandSpec(BandMethod.LIL))
+    hw = half_width(BandSpec(BandMethod.LIL), 500)
     bumped = center.values.copy()
-    bumped[3, 4] = min(1.0, bumped[3, 4] + 2.0 * surfaces.metadata["half_width"])
-    truth = CopulaGrid(center.u_knots, center.v_knots, bumped)
-    assert covers(surfaces, truth) is False
+    bumped[3, 4] = min(1.0, bumped[3, 4] + 2.0 * hw)
+    stack = np.stack([center.values, center.values])
+    np.testing.assert_array_equal(covers(stack, hw, bumped), [False, False])
+    stack[1] = bumped
+    np.testing.assert_array_equal(covers(stack, hw, center.values), [True, False])
 
 
 def test_covers_rejects_grid_mismatch():
-    surfaces = lil_bands(_center(9), 50, BandSpec(BandMethod.LIL))
+    hw = half_width(BandSpec(BandMethod.LIL), 50)
     with pytest.raises(ValueError):
-        covers(surfaces, _center(7))
+        covers(_center(9).values, hw, _center(7).values)
+    with pytest.raises(ValueError):
+        covers(np.zeros((4, 9, 9)), hw, np.zeros((9, 7)))
 
 
 def test_clamping_never_changes_the_verdict():
+    # covers on a raw stack agrees with the verdict read off band surfaces,
+    # clamped or not
     rng = np.random.default_rng(21)
     knots = interior_grid(9)
     truth = CopulaGrid(knots, knots, frank_cdf(1.0, knots[:, None], knots[None, :]))
-    for _ in range(20):
-        noise = rng.normal(scale=0.08, size=(9, 9))
-        center_vals = np.clip(truth.values + noise, 0.0, 1.0)
-        center = CopulaGrid(knots, knots, center_vals)
-        for spec_kwargs in ({"A": 0.25}, {"A": 0.5}, {"epsilon": 0.4}):
-            clamped = lil_bands(center, 50, BandSpec(BandMethod.LIL, **spec_kwargs))
-            raw = lil_bands(center, 50, BandSpec(BandMethod.LIL, clamp=False, **spec_kwargs))
-            assert covers(clamped, truth) == covers(raw, truth)
+    sigma2 = _sigma2_grid(truth)
+    stack = np.clip(truth.values + rng.normal(scale=0.08, size=(20, 9, 9)), 0.0, 1.0)
+    specs = [BandSpec(BandMethod.LIL, **kw) for kw in ({"A": 0.25}, {"A": 0.5}, {"epsilon": 0.4})]
+    specs += [BandSpec(BandMethod.NORMAL, confidence=c) for c in (0.5, 0.99, 0.999999)]
+    verdicts = []
+    for spec in specs:
+        got = covers(stack, half_width(spec, 50, sigma2.values), truth.values)
+        for clamp in (True, False):
+            spec_c = BandSpec(spec.method, spec.A, spec.epsilon, spec.confidence, clamp)
+            expect = []
+            for values in stack:
+                center = CopulaGrid(knots, knots, values)
+                if spec.method is BandMethod.LIL:
+                    s = lil_bands(center, 50, spec_c)
+                else:
+                    s = normal_bands(center, 50, sigma2, spec_c)
+                inside = (s.lower.values <= truth.values) & (truth.values <= s.upper.values)
+                expect.append(bool(np.all(inside)))
+            np.testing.assert_array_equal(got, expect)
+        verdicts += list(got)
+    assert any(verdicts) and not all(verdicts)

@@ -108,8 +108,9 @@ def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
 @pytest.mark.parametrize("command", ["estimate", "bands"])
 @pytest.mark.parametrize(
     "option, message",
-    [("--grid=1", "grid resolution"), ("--bandwidth=0", "bandwidth")],
-    ids=["grid-1", "bandwidth-0"],
+    [("--grid=1", "grid resolution"), ("--bandwidth=0", "bandwidth"),
+     ("--bandwidth=inf", "bandwidth")],
+    ids=["grid-1", "bandwidth-0", "bandwidth-inf"],
 )
 def test_invalid_grid_or_bandwidth_exits_2(frank_xy, tmp_path, capsys, command, option,
                                            message):

@@ -43,10 +43,11 @@ def test_paired_sample_validation():
 
 
 def test_pseudo_sample_requires_open_interval():
-    with pytest.raises(ValueError):
-        PseudoSample(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        PseudoSample(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
+    for bad in (0.0, 1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="us must lie strictly inside"):
+            PseudoSample(np.array([bad, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="vs must lie strictly inside"):
+            PseudoSample(np.array([0.5, 0.5]), np.array([0.5, bad]))
     single = PseudoSample(np.array([0.5]), np.array([0.5]))
     assert single.n == 1
 
@@ -230,8 +231,9 @@ def test_estimate_grid_unchanged_under_increasing_margin_maps(sample, f, g):
 
 def test_estimate_grid_rejects_bad_inputs():
     pseudo = _frank_pseudo(1.0, 20, 16)
-    with pytest.raises(ValueError):
-        estimate_grid(pseudo, 0.0, interior_grid(5))
+    for h in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth"):
+            estimate_grid(pseudo, h, interior_grid(5))
     with pytest.raises(ValueError):
         estimate_grid(pseudo, 0.3, np.array([0.2, 0.2, 0.4]))
     with pytest.raises(ValueError):
@@ -268,13 +270,11 @@ def test_interior_grid_knots():
 # -------------------------------------------------------------- CopulaGrid
 
 
-def test_copula_grid_validation_and_sup_diff():
+def test_copula_grid_validation_and_same_grid():
     knots = interior_grid(3)
     grid = CopulaGrid(knots, knots, np.zeros((3, 3)))
     other = CopulaGrid(knots, knots, np.full((3, 3), 0.25))
     assert grid.same_grid(other)
-    assert grid.sup_diff(other) == 0.25
+    assert not grid.same_grid(CopulaGrid(interior_grid(4), interior_grid(4), np.zeros((4, 4))))
     with pytest.raises(ValueError):
         CopulaGrid(knots, knots, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        grid.sup_diff(CopulaGrid(interior_grid(4), interior_grid(4), np.zeros((4, 4))))

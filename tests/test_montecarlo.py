@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from copbands.bands import BandMethod, BandSpec
+from copbands import montecarlo
 from copbands.copula import THETA_MAX
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
@@ -50,6 +51,8 @@ def test_config_validation():
         _small_config(thetas=(np.inf,))
     with pytest.raises(ValueError):
         _small_config(bandwidth=-0.1)
+    with pytest.raises(ValueError):
+        _small_config(bandwidth=math.inf)
     with pytest.raises(ValueError):
         _small_config(band_specs=())
 
@@ -131,6 +134,21 @@ def test_coverage_deterministic_and_worker_independent():
     parallel = run_coverage(cfg, workers=4)
     assert serial == again
     assert serial == parallel
+
+
+def test_coverage_estimates_each_replicate_once(monkeypatch):
+    # every band's verdict comes from one shared estimate per replicate
+    calls = []
+    original = montecarlo.estimate_grid
+
+    def counting(pseudo, h, knots):
+        calls.append(pseudo.n)
+        return original(pseudo, h, knots)
+
+    monkeypatch.setattr(montecarlo, "estimate_grid", counting)
+    cfg = _small_config(thetas=(1.0, -2.0))
+    run_coverage(cfg, workers=1)
+    assert len(calls) == cfg.B * len(cfg.thetas) * len(cfg.ns)
 
 
 def test_coverage_row_order_and_fields():
