@@ -35,6 +35,8 @@ from .estimator import (
     estimate_point,
     interior_grid,
     make_pseudo_sample,
+    rank_estimate,
+    rank_table,
 )
 from .montecarlo import (
     CoverageReport,
@@ -84,6 +86,8 @@ __all__ = [
     "make_pseudo_sample",
     "normal_bands",
     "normal_quantile",
+    "rank_estimate",
+    "rank_table",
     "rn",
     "run_bias_check",
     "run_coverage",

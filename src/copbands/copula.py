@@ -44,7 +44,8 @@ def _check_theta(theta) -> float:
 
 def _check_unit(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # NaN fails both comparisons
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return arr
 

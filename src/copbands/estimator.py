@@ -28,6 +28,8 @@ __all__ = [
     "make_pseudo_sample",
     "estimate_point",
     "estimate_grid",
+    "rank_table",
+    "rank_estimate",
     "default_bandwidth",
     "interior_grid",
 ]
@@ -126,8 +128,18 @@ class CopulaGrid:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n, each tie group given the mean of the ranks it spans."""
-    _, inv, cnt = np.unique(x, return_inverse=True, return_counts=True)
-    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
+    order = np.argsort(x)
+    xs = x[order]
+    # tie groups are the runs of equal sorted values
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ranks = np.empty(xs.size)
+    if starts.size == xs.size:
+        ranks[order] = np.arange(1.0, xs.size + 1)
+    else:
+        ends = np.append(starts[1:], xs.size)
+        # ranks starts+1 .. ends average to an exact half-integer
+        ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def make_pseudo_sample(sample: PairedSample) -> PseudoSample:
@@ -168,22 +180,63 @@ def estimate_grid(
         ``u_knots``. Endpoints 0 and 1 are allowed and produce exact
         copula boundary values.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError("bandwidth h must be positive and finite")
     uk = _check_knots("u_knots", u_knots)
     vk = uk if v_knots is None else _check_knots("v_knots", v_knots)
-
-    tu = normal_quantile(pseudo.us)
-    tv = normal_quantile(pseudo.vs)
-    su = normal_quantile(uk)
-    sv = normal_quantile(vk)
-
-    # (grid, n) factor tables; +/-inf grid coordinates hit the kernel's
-    # exact 0/1 plateaus, never a nan
-    ku = epanechnikov_cdf((su[:, None] - tu[None, :]) / h)
-    kv = epanechnikov_cdf((sv[:, None] - tv[None, :]) / h)
+    ku = _factors(uk, pseudo.us, h)
+    kv = _factors(vk, pseudo.vs, h)
     values = (ku @ kv.T) / pseudo.n
     return CopulaGrid(uk, vk, values)
+
+
+def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """(knots, points) table of kernel factors K((q(t_g) - q(p_i)) / h).
+
+    +/-inf quantiles of boundary knots hit the kernel's exact 0/1
+    plateaus, never a nan.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth h must be positive and finite")
+    return epanechnikov_cdf(
+        (normal_quantile(knots)[:, None] - normal_quantile(points)[None, :]) / h
+    )
+
+
+def rank_table(n: int, h: float, knots) -> np.ndarray:
+    """Kernel factors of every half-integer rank m/2 = 1, 1.5, ..., n.
+
+    Column m - 2 holds the factors of the pseudo-observation
+    m / (2(n + 1)), so for a sample of size n the factor tables of
+    :func:`estimate_grid` are column gathers of this (knots, 2n - 1)
+    table, mid-ranks of tied samples included. Build it once per
+    (n, h, knots) and pass it to :func:`rank_estimate`.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    points = np.arange(2, 2 * n + 1) / (2.0 * (n + 1))
+    return _factors(_check_knots("knots", knots), points, h)
+
+
+def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
+    """Estimator surface of the raw sample (xs, ys) from a :func:`rank_table`.
+
+    Bit-identical to ``estimate_grid(make_pseudo_sample(PairedSample(xs,
+    ys)), h, knots).values`` for the table's n, h and knots: twice a
+    mid-rank is an integer m, and m / (2(n + 1)) is the same double as
+    mid-rank / (n + 1). The samples are trusted to be finite.
+    """
+    n = (table.shape[1] + 1) // 2
+    if np.shape(xs) != (n,) or np.shape(ys) != (n,):
+        raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
+    # np.take returns C-contiguous gathers, which keep the product's
+    # summation order that of estimate_grid
+    ku = np.take(table, _rank_columns(xs), axis=1)
+    kv = np.take(table, _rank_columns(ys), axis=1)
+    return (ku @ kv.T) / n
+
+
+def _rank_columns(x) -> np.ndarray:
+    return (2.0 * _midranks(np.asarray(x, dtype=float))).astype(np.intp) - 2
 
 
 def estimate_point(

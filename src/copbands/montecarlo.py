@@ -28,13 +28,8 @@ import numpy as np
 
 from .bands import BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import (
-    PairedSample,
-    default_bandwidth,
-    estimate_grid,
-    interior_grid,
-    make_pseudo_sample,
-)
+from .estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
+from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
 __all__ = [
     "WORKERS_ENV",
@@ -192,13 +187,6 @@ def _replicate_rng(seed: int, theta_idx: int, n_idx: int, r: int) -> np.random.G
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, theta_idx, n_idx, r)))
 
 
-def _draw_pseudo(theta: float, n: int, rng: np.random.Generator):
-    u = rng.random(n)
-    w = rng.random(n)
-    v = frank_conditional_sample(theta, u, w)
-    return make_pseudo_sample(PairedSample(u, v))
-
-
 def _chunk_ranges(B: int):
     return [(r0, min(r0 + REPLICATE_CHUNK, B)) for r0 in range(0, B, REPLICATE_CHUNK)]
 
@@ -222,12 +210,15 @@ def _run_tasks(fn, tasks, workers: int):
 
 
 def _grid_chunk(args):
-    (seed, theta, theta_idx, n, n_idx, r0, r1, h, knots) = args
-    out = np.empty((r1 - r0, knots.size, knots.size))
+    """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table."""
+    (seed, theta, theta_idx, n, n_idx, r0, r1, table) = args
+    out = np.empty((r1 - r0, table.shape[0], table.shape[0]))
     for offset, r in enumerate(range(r0, r1)):
         rng = _replicate_rng(seed, theta_idx, n_idx, r)
-        pseudo = _draw_pseudo(theta, n, rng)
-        out[offset] = estimate_grid(pseudo, h, knots).values
+        u = rng.random(n)
+        w = rng.random(n)
+        v = frank_conditional_sample(theta, u, w)
+        out[offset] = rank_estimate(table, u, v)
     return out
 
 
@@ -241,11 +232,11 @@ def _coverage_chunk(args):
 def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     """Empirical simultaneous-coverage frequencies per (method, theta, n).
 
-    Each replicate draws a Frank sample by conditional sampling, builds
-    pseudo-observations and estimates the copula on the shared interior
-    grid. A band covers the replicate when the true surface lies within the
-    estimate ± the band's half-width, computed once per cell, at every
-    knot. Rows are emitted in (method, theta, n) order with Monte Carlo
+    Each replicate draws a Frank sample by conditional sampling and
+    estimates the copula on the shared interior grid from its ranks and
+    the cell's rank table. A band covers the replicate when the true
+    surface lies within the estimate ± the band's half-width, computed
+    once per cell, at every knot. Rows are emitted in (method, theta, n) order with Monte Carlo
     standard errors sqrt(p(1-p)/B) attached.
     """
     workers = _resolve_workers(workers)
@@ -259,11 +250,11 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
         if need_sigma2:
             sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :])
         for j, n in enumerate(config.ns):
-            h = config.bandwidth_for(n)
+            table = rank_table(n, config.bandwidth_for(n), knots)
             half_widths = [half_width(spec, n, sigma2) for spec in config.band_specs]
             for r0, r1 in _chunk_ranges(config.B):
                 tasks.append(
-                    (config.seed, theta, i, n, j, r0, r1, h, knots, truth, half_widths)
+                    (config.seed, theta, i, n, j, r0, r1, table, truth, half_widths)
                 )
 
     # tasks run in (theta, n, chunk) order; sum each cell's chunks
@@ -294,9 +285,9 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
 
 def _replicate_grid_stack(config: ExperimentConfig, theta, theta_idx, n, n_idx, workers):
     knots = interior_grid(config.grid_resolution)
-    h = config.bandwidth_for(n)
+    table = rank_table(n, config.bandwidth_for(n), knots)
     tasks = [
-        (config.seed, theta, theta_idx, n, n_idx, r0, r1, h, knots)
+        (config.seed, theta, theta_idx, n, n_idx, r0, r1, table)
         for r0, r1 in _chunk_ranges(config.B)
     ]
     stacks = _run_tasks(_grid_chunk, tasks, workers)

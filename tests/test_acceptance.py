@@ -30,7 +30,6 @@ from copbands.montecarlo import (
     run_bias_check,
     run_coverage,
     run_lil_check,
-    _draw_pseudo,
     _replicate_rng,
 )
 
@@ -96,6 +95,13 @@ def _ref_sigma2(theta, u, v):
         np.stack([c * (1 - v), c - u * v, v * (1 - v)]),
     ])
     return np.einsum("i...,ij...,j...->...", weights, cov, weights)
+
+
+def _draw_pseudo(theta, n, rng):
+    """Pseudo-sample of one harness replicate: u, then w, then v = C_u^-1(w | u)."""
+    u = rng.random(n)
+    w = rng.random(n)
+    return make_pseudo_sample(PairedSample(u, cb.frank_conditional_sample(theta, u, w)))
 
 
 def _ref_ranks(x):

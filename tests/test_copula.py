@@ -85,10 +85,13 @@ def test_cdf_rejects_non_finite_theta():
 
 
 def test_cdf_rejects_out_of_unit_arguments():
-    with pytest.raises(ValueError):
-        frank_cdf(1.0, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        frank_cdf(1.0, 0.5, 1.2)
+    for bad in (-0.1, 1.2, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            frank_cdf(1.0, bad, 0.5)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            frank_cdf(1.0, 0.5, bad)
+    with pytest.raises(ValueError, match=r"w must lie in \[0, 1\]"):
+        frank_conditional_sample(1.0, 0.5, np.nan)
 
 
 # ----------------------------------------------------------- frank_partials
@@ -291,6 +294,9 @@ def test_frank_contracts_over_supported_theta(theta, a, b, c, d):
     cu, cv = frank_partials(theta, u, v)
     assert np.all((cu >= 0.0) & (cu <= 1.0))
     assert np.all((cv >= 0.0) & (cv <= 1.0))
+    # the sampler inverts the u-partial: C_u(a, v) = c
+    v_c = frank_conditional_sample(theta, a, c)
+    assert abs(frank_partials(theta, a, v_c)[0] - c) <= 1e-12
 
 
 def test_independence_threshold_documented_value():

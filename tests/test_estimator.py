@@ -16,6 +16,8 @@ from copbands.estimator import (
     estimate_point,
     interior_grid,
     make_pseudo_sample,
+    rank_estimate,
+    rank_table,
 )
 
 
@@ -238,6 +240,48 @@ def test_estimate_grid_rejects_bad_inputs():
         estimate_grid(pseudo, 0.3, np.array([0.2, 0.2, 0.4]))
     with pytest.raises(ValueError):
         estimate_grid(pseudo, 0.3, np.array([-0.1, 0.5]))
+
+
+# ------------------------------------------------------------- rank table
+
+
+@pytest.mark.parametrize("n", [16, 50, 500, 2000])
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("boundary", [False, True])
+def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
+    rng = np.random.default_rng(n)
+    xs = rng.normal(size=n)
+    ys = xs + rng.normal(size=n)
+    if tied:
+        xs, ys = np.round(xs, 1), np.round(ys, 1)
+        assert np.unique(xs).size < n and np.unique(ys).size < n
+    h = default_bandwidth(n)
+    knots = interior_grid(9, include_boundary=True) if boundary else interior_grid(33)
+    looked_up = rank_estimate(rank_table(n, h, knots), xs, ys)
+    direct = estimate_grid(make_pseudo_sample(PairedSample(xs, ys)), h, knots)
+    assert np.array_equal(looked_up, direct.values)
+
+
+def test_rank_table_shape_and_rejects_bad_inputs():
+    assert rank_table(20, 0.3, interior_grid(5)).shape == (5, 39)
+    for h in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth"):
+            rank_table(20, h, interior_grid(5))
+    for knots in ([0.2, 0.2, 0.4], [0.4, 0.2]):
+        with pytest.raises(ValueError, match="increasing"):
+            rank_table(20, 0.3, np.array(knots))
+    with pytest.raises(ValueError):
+        rank_table(0, 0.3, interior_grid(5))
+
+
+def test_rank_estimate_rejects_samples_of_another_size():
+    table = rank_table(20, 0.3, interior_grid(5))
+    xs = np.arange(20.0)
+    for bad in (xs[:19], np.append(xs, 20.0), xs.reshape(4, 5)):
+        with pytest.raises(ValueError, match="size 20"):
+            rank_estimate(table, bad, xs)
+        with pytest.raises(ValueError, match="size 20"):
+            rank_estimate(table, xs, bad)
 
 
 # -------------------------------------------------------- default_bandwidth

@@ -136,19 +136,26 @@ def test_coverage_deterministic_and_worker_independent():
     assert serial == parallel
 
 
-def test_coverage_estimates_each_replicate_once(monkeypatch):
-    # every band's verdict comes from one shared estimate per replicate
-    calls = []
-    original = montecarlo.estimate_grid
+def test_coverage_tabulates_once_per_cell(monkeypatch):
+    # one rank table per (theta, n) cell, one lookup per replicate, and no
+    # estimate_grid call in the replicate loop
+    calls = {"rank_table": 0, "rank_estimate": 0, "estimate_grid": 0}
 
-    def counting(pseudo, h, knots):
-        calls.append(pseudo.n)
-        return original(pseudo, h, knots)
+    def counting(name):
+        original = getattr(montecarlo, name)
 
-    monkeypatch.setattr(montecarlo, "estimate_grid", counting)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(montecarlo, name, counting(name))
     cfg = _small_config(thetas=(1.0, -2.0))
     run_coverage(cfg, workers=1)
-    assert len(calls) == cfg.B * len(cfg.thetas) * len(cfg.ns)
+    cells = len(cfg.thetas) * len(cfg.ns)
+    assert calls == {"rank_table": cells, "rank_estimate": cfg.B * cells, "estimate_grid": 0}
 
 
 def test_coverage_row_order_and_fields():
