@@ -10,12 +10,9 @@ deterministic Monte Carlo coverage harness.
 from .bands import (
     BandMethod,
     BandSpec,
-    BandSurfaces,
     NumericError,
     covers,
     half_width,
-    lil_bands,
-    normal_bands,
     rn,
 )
 from .copula import (
@@ -32,7 +29,6 @@ from .estimator import (
     PseudoSample,
     default_bandwidth,
     estimate_grid,
-    estimate_point,
     interior_grid,
     make_pseudo_sample,
     rank_estimate,
@@ -59,7 +55,6 @@ __all__ = [
     "__version__",
     "BandMethod",
     "BandSpec",
-    "BandSurfaces",
     "CopulaGrid",
     "CoverageReport",
     "CoverageRow",
@@ -73,7 +68,6 @@ __all__ = [
     "default_bandwidth",
     "epanechnikov_cdf",
     "estimate_grid",
-    "estimate_point",
     "frank_cdf",
     "frank_conditional_sample",
     "frank_partials",
@@ -82,9 +76,7 @@ __all__ = [
     "frechet_upper",
     "half_width",
     "interior_grid",
-    "lil_bands",
     "make_pseudo_sample",
-    "normal_bands",
     "normal_quantile",
     "rank_estimate",
     "rank_table",

@@ -13,9 +13,10 @@ Two constructions over a shared grid:
   confidence. Pointwise by nature, so their simultaneous coverage over a
   grid falls well below the nominal level.
 
-``half_width`` computes either half-width. ``covers`` is the simultaneous-
-coverage predicate the Monte Carlo harness counts over a stack of
-estimates: the truth must lie within estimate ± half-width at every knot.
+``half_width`` computes either half-width; a band is estimate ± half-width.
+``covers`` is the simultaneous-coverage predicate the Monte Carlo harness
+counts over a stack of estimates: the truth must lie within estimate ±
+half-width at every knot.
 """
 
 from __future__ import annotations
@@ -26,18 +27,14 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import CopulaGrid
 from .specfun import normal_quantile
 
 __all__ = [
     "NumericError",
     "BandMethod",
     "BandSpec",
-    "BandSurfaces",
     "rn",
     "half_width",
-    "lil_bands",
-    "normal_bands",
     "covers",
 ]
 
@@ -56,16 +53,13 @@ class BandSpec:
     """Half-width parameters for one band construction.
 
     ``A`` and ``epsilon`` apply to the LIL method, ``confidence`` to the
-    normal method; ``clamp`` truncates both surfaces to [0, 1]. Clamping
-    never changes a coverage verdict because the truth itself lies in
-    [0, 1].
+    normal method.
     """
 
     method: BandMethod
     A: float = 0.5
     epsilon: float = 0.0
     confidence: float = 0.99
-    clamp: bool = True
 
     def __post_init__(self):
         if not isinstance(self.method, BandMethod):
@@ -76,15 +70,6 @@ class BandSpec:
             raise ValueError("epsilon must lie in (-1, 1)")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class BandSurfaces:
-    """Lower/center/upper surfaces on a shared grid."""
-
-    lower: CopulaGrid
-    center: CopulaGrid
-    upper: CopulaGrid
 
 
 def rn(n: int) -> float:
@@ -115,43 +100,10 @@ def half_width(spec: BandSpec, n: int, sigma2=None):
     return z * np.sqrt(sigma2 / float(n))
 
 
-def _surfaces(center: CopulaGrid, half_width, spec: BandSpec) -> BandSurfaces:
-    lower = center.values - half_width
-    upper = center.values + half_width
-    if spec.clamp:
-        lower = np.clip(lower, 0.0, 1.0)
-        upper = np.clip(upper, 0.0, 1.0)
-    return BandSurfaces(
-        lower=CopulaGrid(center.u_knots, center.v_knots, lower),
-        center=center,
-        upper=CopulaGrid(center.u_knots, center.v_knots, upper),
-    )
-
-
-def lil_bands(center: CopulaGrid, n: int, spec: BandSpec) -> BandSurfaces:
-    """Constant-half-width simultaneous bands center ± (1+epsilon)·A/R_n."""
-    if spec.method is not BandMethod.LIL:
-        raise ValueError("lil_bands requires a spec with method=LIL")
-    return _surfaces(center, half_width(spec, n), spec)
-
-
-def normal_bands(
-    center: CopulaGrid, n: int, sigma2: CopulaGrid, spec: BandSpec
-) -> BandSurfaces:
-    """Pointwise bands center ± z·sqrt(sigma2/n) at the spec confidence.
-
-    ``sigma2`` must share the grid of ``center``; see :func:`half_width`.
-    """
-    if spec.method is not BandMethod.NORMAL:
-        raise ValueError("normal_bands requires a spec with method=NORMAL")
-    if not center.same_grid(sigma2):
-        raise ValueError("sigma2 grid does not match the center grid")
-    return _surfaces(center, half_width(spec, n, sigma2.values), spec)
-
-
 def covers(estimates, half_width, truth) -> np.ndarray:
     """Per (G, G) surface of ``estimates``: is ``truth`` within ± half_width
-    at every knot? Clamping the band to [0, 1] could not change a verdict.
+    at every knot? Clamping the band to [0, 1] cannot change a verdict,
+    because the truth lies in [0, 1].
     """
     estimates = np.asarray(estimates)
     truth = np.asarray(truth)

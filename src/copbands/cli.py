@@ -31,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import BandMethod, BandSpec, NumericError, lil_bands, normal_bands
+from .bands import BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
 from .estimator import (
-    CopulaGrid,
     PairedSample,
     default_bandwidth,
     estimate_grid,
@@ -151,8 +150,6 @@ def _parse_config(path: str) -> dict:
     cfg["ns"] = _parse_list(path, lineno, "ns", raw, int)
     lineno, raw = entries["B"]
     cfg["B"] = _parse_scalar(path, lineno, "B", raw, int)
-    if cfg["B"] < 1:
-        raise CliError(f"{path}:{lineno}: B must be >= 1")
     lineno, raw = entries["seed"]
     cfg["seed"] = _parse_scalar(path, lineno, "seed", raw, int)
     lineno, raw = entries["methods"]
@@ -245,21 +242,25 @@ def _cmd_bands(args) -> int:
     h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
     center = estimate_grid(make_pseudo_sample(sample), h, knots)
 
-    clamp = not args.no_clamp
     if method is BandMethod.LIL:
-        spec = BandSpec(BandMethod.LIL, A=args.A, epsilon=args.epsilon, clamp=clamp)
-        surfaces = lil_bands(center, sample.n, spec)
+        spec = BandSpec(BandMethod.LIL, A=args.A, epsilon=args.epsilon)
+        hw = half_width(spec, sample.n)
     else:
-        spec = BandSpec(BandMethod.NORMAL, confidence=args.confidence, clamp=clamp)
-        sigma2 = CopulaGrid(knots, knots, frank_sigma2(args.theta, knots[:, None], knots[None, :]))
-        surfaces = normal_bands(center, sample.n, sigma2, spec)
+        spec = BandSpec(BandMethod.NORMAL, confidence=args.confidence)
+        hw = half_width(spec, sample.n, frank_sigma2(args.theta, knots[:, None], knots[None, :]))
+    lower = center.values - hw
+    upper = center.values + hw
+    clamp = not args.no_clamp
+    if clamp:
+        lower = np.clip(lower, 0.0, 1.0)
+        upper = np.clip(upper, 0.0, 1.0)
 
     lines = ["u,v,lower,center,upper"]
     for i, u in enumerate(knots):
         for j, v in enumerate(knots):
             lines.append(
-                f"{_fmt(u)},{_fmt(v)},{_fmt(surfaces.lower.values[i, j])},"
-                f"{_fmt(center.values[i, j])},{_fmt(surfaces.upper.values[i, j])}"
+                f"{_fmt(u)},{_fmt(v)},{_fmt(lower[i, j])},"
+                f"{_fmt(center.values[i, j])},{_fmt(upper[i, j])}"
             )
     _write_lines(args.out, lines)
     parameters = {
@@ -340,8 +341,9 @@ def _cmd_verify(args) -> int:
         report = run_bias_check(config)
         lines = ["mode,theta,n,B,statistic"]
         decay = True
+        by_n = sorted(report.rows, key=lambda row: row.n)  # config ns may come in any order
         for theta in config.thetas:
-            cell_stats = [row.statistics[0] for row in report.rows if row.theta == theta]
+            cell_stats = [row.statistics[0] for row in by_n if row.theta == theta]
             decay = decay and all(b < a for a, b in zip(cell_stats, cell_stats[1:]))
         for row in report.rows:
             lines.append(f"bias,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.statistics[0])}")

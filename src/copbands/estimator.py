@@ -26,7 +26,6 @@ __all__ = [
     "PseudoSample",
     "CopulaGrid",
     "make_pseudo_sample",
-    "estimate_point",
     "estimate_grid",
     "rank_table",
     "rank_estimate",
@@ -119,11 +118,6 @@ class CopulaGrid:
         object.__setattr__(self, "u_knots", uk)
         object.__setattr__(self, "v_knots", vk)
         object.__setattr__(self, "values", vals)
-
-    def same_grid(self, other: "CopulaGrid") -> bool:
-        return np.array_equal(self.u_knots, other.u_knots) and np.array_equal(
-            self.v_knots, other.v_knots
-        )
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -237,21 +231,6 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
 
 def _rank_columns(x) -> np.ndarray:
     return (2.0 * _midranks(np.asarray(x, dtype=float))).astype(np.intp) - 2
-
-
-def estimate_point(
-    pseudo: PseudoSample,
-    h: float,
-    u: float,
-    v: float,
-) -> float:
-    """Estimator value at a single coordinate pair.
-
-    Defined as the 1x1 special case of :func:`estimate_grid`, so the two
-    agree bit-for-bit at shared coordinates.
-    """
-    grid = estimate_grid(pseudo, h, np.array([float(u)]), np.array([float(v)]))
-    return float(grid.values[0, 0])
 
 
 def default_bandwidth(n: int) -> float:

@@ -12,9 +12,11 @@ Three experiments over Frank-copula ground truth:
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
-Reports are therefore bit-identical for any worker count. The worker
-count defaults to the ``COPBANDS_WORKERS`` environment variable (1 if
-unset); a single worker runs in-process with no pool.
+Reports are therefore bit-identical for any worker count under a fixed
+BLAS thread count; above n = 512 the BLAS thread count moves the last
+bits of the estimate's matrix product. The worker count defaults to the
+``COPBANDS_WORKERS`` environment variable (1 if unset); a single worker
+runs in-process with no pool.
 """
 
 from __future__ import annotations

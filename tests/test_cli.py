@@ -11,7 +11,10 @@ import pytest
 
 import copbands
 import copbands.cli as cli
+from copbands.bands import BandMethod, BandSpec, half_width
 from copbands.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from copbands.copula import frank_sigma2
+from copbands.estimator import interior_grid
 
 
 def _write(path, text):
@@ -178,6 +181,29 @@ def test_bands_epsilon_nesting(frank_xy, tmp_path):
     assert np.all(inner[:, 4] <= outer[:, 4])  # upper surfaces nested
 
 
+@pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "no-clamp"])
+@pytest.mark.parametrize("method", ["lil", "normal"])
+def test_bands_are_center_plus_minus_half_width(frank_xy, tmp_path, method, clamp):
+    # n = 16 puts lower bounds below 0 near the corner knot 1/34
+    data = frank_xy(n=16)
+    out = tmp_path / "b.csv"
+    argv = ["bands", str(data), "--method", method, "--theta", "1", "--out", str(out)]
+    assert main(argv + ([] if clamp else ["--no-clamp"])) == EXIT_OK
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    knots = interior_grid(33)
+    center = table[:, 3].reshape(33, 33)
+    spec = BandSpec(BandMethod(method))
+    hw = half_width(spec, 16, frank_sigma2(1.0, knots[:, None], knots[None, :]))
+    lower, upper = center - hw, center + hw
+    assert lower[0, 0] < 0.0
+    if clamp:
+        lower, upper = np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+    np.testing.assert_array_equal(table[:, 2], lower.ravel())
+    np.testing.assert_array_equal(table[:, 4], upper.ravel())
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["parameters"]["clamp"] is clamp
+
+
 def test_bands_normal_requires_theta(frank_xy, tmp_path, capsys):
     data = frank_xy(n=50)
     code = main(["bands", str(data), "--method", "normal", "--out", str(tmp_path / "b.csv")])
@@ -301,8 +327,9 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
         ({"thetas": "1, 1.0"}, "thetas must not repeat"),
         ({"ns": "16, 16"}, "ns must not repeat"),
         ({"seed": "-1"}, "seed must lie in [0, 2**64)"),
+        ({"B": "4294967297"}, "B must be >= 1 and <= 2**32"),
     ],
-    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed"],
+    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "B-2**32+1"],
 )
 def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
     cfg = _config(tmp_path, **overrides)
@@ -343,6 +370,16 @@ def test_verify_bias_writes_verdict(tmp_path):
     assert lines[0] == "mode,theta,n,B,statistic"
     assert len(lines) == 4
     assert lines[-1].startswith("# verdict: decay")
+
+
+def test_verify_bias_compares_in_increasing_n(tmp_path):
+    # n = 32 before n = 16 in the config: the decay verdict must not depend on it
+    cfg = _config(tmp_path, B="1000", ns="32, 16")
+    out = tmp_path / "bias.csv"
+    assert main(["verify", "bias", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:3]] == ["32", "16"]
+    assert lines[-1] == "# verdict: decay observed"
 
 
 def test_verify_rejects_insufficient_b(tmp_path, capsys):

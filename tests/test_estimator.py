@@ -13,7 +13,6 @@ from copbands.estimator import (
     PseudoSample,
     default_bandwidth,
     estimate_grid,
-    estimate_point,
     interior_grid,
     make_pseudo_sample,
     rank_estimate,
@@ -91,25 +90,28 @@ def test_pseudo_sample_matches_scipy_average_ranks():
         np.testing.assert_array_equal(pseudo.vs, rankdata(ys, method="average") / (n + 1.0))
 
 
-# ----------------------------------------------------------- estimate_point
+# ------------------------------------------- the 1x1 case of estimate_grid
+
+
+def _at(pseudo, h, u, v):
+    """The estimate at the single point (u, v): a 1x1 grid."""
+    return float(estimate_grid(pseudo, h, [u], [v]).values[0, 0])
 
 
 def test_estimate_point_single_observation_center():
     pseudo = PseudoSample(np.array([0.5]), np.array([0.5]))
-    assert estimate_point(pseudo, 1.0, 0.5, 0.5) == 0.25
+    assert _at(pseudo, 1.0, 0.5, 0.5) == 0.25
 
 
 def test_estimate_point_zero_coordinate_is_exact_zero():
     pseudo = _frank_pseudo(1.0, 50, 5)
-    assert estimate_point(pseudo, 0.3, 0.7, 0.0) == 0.0
-    assert estimate_point(pseudo, 0.3, 0.0, 0.7) == 0.0
+    assert _at(pseudo, 0.3, 0.7, 0.0) == 0.0
+    assert _at(pseudo, 0.3, 0.0, 0.7) == 0.0
 
 
 def test_estimate_point_two_observation_value():
     pseudo = PseudoSample(np.array([0.25, 0.75]), np.array([0.25, 0.75]))
-    assert estimate_point(pseudo, 1.0, 0.5, 0.5) == pytest.approx(
-        0.43417386300607863, abs=1e-15
-    )
+    assert _at(pseudo, 1.0, 0.5, 0.5) == pytest.approx(0.43417386300607863, abs=1e-15)
 
 
 def test_estimate_point_v_equals_one_gives_smoothed_margin():
@@ -121,7 +123,7 @@ def test_estimate_point_v_equals_one_gives_smoothed_margin():
     margin = float(
         np.mean(epanechnikov_cdf((normal_quantile(u) - normal_quantile(pseudo.us)) / h))
     )
-    assert estimate_point(pseudo, h, u, 1.0) == pytest.approx(margin, abs=1e-15)
+    assert _at(pseudo, h, u, 1.0) == pytest.approx(margin, abs=1e-15)
 
 
 # ------------------------------------------------------------ estimate_grid
@@ -133,7 +135,7 @@ def test_estimate_grid_matches_pointwise_evaluation():
     grid = estimate_grid(pseudo, 0.25, knots)
     for i, u in enumerate(knots):
         for j, v in enumerate(knots):
-            assert abs(grid.values[i, j] - estimate_point(pseudo, 0.25, u, v)) <= 1e-12
+            assert abs(grid.values[i, j] - _at(pseudo, 0.25, u, v)) <= 1e-12
 
 
 def test_estimate_grid_boundary_rows_exact():
@@ -314,11 +316,10 @@ def test_interior_grid_knots():
 # -------------------------------------------------------------- CopulaGrid
 
 
-def test_copula_grid_validation_and_same_grid():
+def test_copula_grid_validation():
     knots = interior_grid(3)
-    grid = CopulaGrid(knots, knots, np.zeros((3, 3)))
-    other = CopulaGrid(knots, knots, np.full((3, 3), 0.25))
-    assert grid.same_grid(other)
-    assert not grid.same_grid(CopulaGrid(interior_grid(4), interior_grid(4), np.zeros((4, 4))))
+    grid = CopulaGrid(list(knots), knots, [[0, 0, 0]] * 3)
+    assert grid.values.dtype == float and grid.values.shape == (3, 3)
+    np.testing.assert_array_equal(grid.u_knots, knots)
     with pytest.raises(ValueError):
         CopulaGrid(knots, knots, np.zeros((2, 3)))
