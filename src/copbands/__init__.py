@@ -24,13 +24,10 @@ from .copula import (
     frechet_upper,
 )
 from .estimator import (
-    CopulaGrid,
     PairedSample,
-    PseudoSample,
     default_bandwidth,
     estimate_grid,
     interior_grid,
-    make_pseudo_sample,
     rank_estimate,
     rank_table,
 )
@@ -55,7 +52,6 @@ __all__ = [
     "__version__",
     "BandMethod",
     "BandSpec",
-    "CopulaGrid",
     "CoverageReport",
     "CoverageRow",
     "DeviationReport",
@@ -63,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "NumericError",
     "PairedSample",
-    "PseudoSample",
     "covers",
     "default_bandwidth",
     "epanechnikov_cdf",
@@ -76,7 +71,6 @@ __all__ = [
     "frechet_upper",
     "half_width",
     "interior_grid",
-    "make_pseudo_sample",
     "normal_quantile",
     "rank_estimate",
     "rank_table",

@@ -33,13 +33,7 @@ import numpy as np
 from . import __version__
 from .bands import BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
-from .estimator import (
-    PairedSample,
-    default_bandwidth,
-    estimate_grid,
-    interior_grid,
-    make_pseudo_sample,
-)
+from .estimator import PairedSample, default_bandwidth, estimate_grid, interior_grid
 from .montecarlo import ExperimentConfig, run_bias_check, run_coverage, run_lil_check
 
 EXIT_OK = 0
@@ -210,12 +204,12 @@ def _cmd_estimate(args) -> int:
         raise CliError(f"{args.input}: need at least 16 data rows, found {sample.n}")
     knots = interior_grid(args.grid)
     h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
-    grid = estimate_grid(make_pseudo_sample(sample), h, knots)
+    grid = estimate_grid(sample, h, knots)
 
     lines = ["u,v,estimate"]
     for i, u in enumerate(knots):
         for j, v in enumerate(knots):
-            lines.append(f"{_fmt(u)},{_fmt(v)},{_fmt(grid.values[i, j])}")
+            lines.append(f"{_fmt(u)},{_fmt(v)},{_fmt(grid[i, j])}")
     _write_lines(args.out, lines)
     _write_manifest(
         args.out,
@@ -238,18 +232,17 @@ def _cmd_bands(args) -> int:
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
         raise CliError("--method normal requires --theta (variance is evaluated at the true parameter)")
+    spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
     knots = interior_grid(args.grid)
     h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
-    center = estimate_grid(make_pseudo_sample(sample), h, knots)
+    center = estimate_grid(sample, h, knots)
 
-    if method is BandMethod.LIL:
-        spec = BandSpec(BandMethod.LIL, A=args.A, epsilon=args.epsilon)
-        hw = half_width(spec, sample.n)
-    else:
-        spec = BandSpec(BandMethod.NORMAL, confidence=args.confidence)
-        hw = half_width(spec, sample.n, frank_sigma2(args.theta, knots[:, None], knots[None, :]))
-    lower = center.values - hw
-    upper = center.values + hw
+    sigma2 = None
+    if method is BandMethod.NORMAL:
+        sigma2 = frank_sigma2(args.theta, knots[:, None], knots[None, :])
+    hw = half_width(spec, sample.n, sigma2)
+    lower = center - hw
+    upper = center + hw
     clamp = not args.no_clamp
     if clamp:
         lower = np.clip(lower, 0.0, 1.0)
@@ -260,7 +253,7 @@ def _cmd_bands(args) -> int:
         for j, v in enumerate(knots):
             lines.append(
                 f"{_fmt(u)},{_fmt(v)},{_fmt(lower[i, j])},"
-                f"{_fmt(center.values[i, j])},{_fmt(upper[i, j])}"
+                f"{_fmt(center[i, j])},{_fmt(upper[i, j])}"
             )
     _write_lines(args.out, lines)
     parameters = {
@@ -279,7 +272,16 @@ def _cmd_bands(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(cfg: dict, band_specs) -> ExperimentConfig:
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    """Experiment of a parsed config, one band spec per listed method.
+
+    Every spec gets all of A, epsilon and confidence, so each band option
+    is checked whichever methods are listed.
+    """
+    specs = tuple(
+        BandSpec(BandMethod(method), A=cfg["A"], epsilon=cfg["epsilon"], confidence=cfg["confidence"])
+        for method in cfg["methods"]
+    )
     return ExperimentConfig(
         thetas=cfg["thetas"],
         ns=cfg["ns"],
@@ -287,7 +289,7 @@ def _experiment_config(cfg: dict, band_specs) -> ExperimentConfig:
         seed=cfg["seed"],
         grid_resolution=cfg["grid"],
         bandwidth=cfg["bandwidth"],
-        band_specs=band_specs,
+        band_specs=specs,
     )
 
 
@@ -296,14 +298,7 @@ def _cmd_simulate_coverage(args) -> int:
     cfg = _parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    specs = []
-    for method in cfg["methods"]:
-        if method == "lil":
-            specs.append(BandSpec(BandMethod.LIL, A=cfg["A"], epsilon=cfg["epsilon"]))
-        else:
-            specs.append(BandSpec(BandMethod.NORMAL, confidence=cfg["confidence"]))
-    config = _experiment_config(cfg, tuple(specs))
-    report = run_coverage(config)
+    report = run_coverage(_experiment_config(cfg))
 
     lines = ["method,theta,n,coverage,mc_stderr,B,seed"]
     for row in report.rows:
@@ -323,7 +318,7 @@ def _cmd_verify(args) -> int:
     cfg = _parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    config = _experiment_config(cfg, (BandSpec(BandMethod.LIL, A=cfg["A"], epsilon=cfg["epsilon"]),))
+    config = _experiment_config(cfg)
 
     if args.mode == "lil":
         report = run_lil_check(config)
@@ -338,6 +333,8 @@ def _cmd_verify(args) -> int:
             )
         verdict = "bound satisfied" if satisfied else "bound exceeded"
     else:
+        if len(config.ns) < 2:
+            raise CliError(f"{args.config}: bias decay needs at least two sample sizes in 'ns'")
         report = run_bias_check(config)
         lines = ["mode,theta,n,B,statistic"]
         decay = True

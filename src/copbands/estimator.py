@@ -1,8 +1,10 @@
 """Probit-transformation kernel estimator of a bivariate copula.
 
-The estimator maps pseudo-observations and evaluation coordinates through
-the standard normal quantile (the Probit transformation), then averages
-products of integrated-kernel factors:
+The estimator sees a raw sample (X_i, Y_i) only through its
+pseudo-observations Uhat_i = rank(X_i)/(n+1), Vhat_i = rank(Y_i)/(n+1).
+It maps them and the evaluation coordinates through the standard normal
+quantile (the Probit transformation), then averages products of
+integrated-kernel factors:
 
     Chat(u, v) = (1/n) * sum_i K((q(u) - q(Uhat_i)) / h) * K((q(v) - q(Vhat_i)) / h)
 
@@ -10,6 +12,11 @@ with q the normal quantile and K the Epanechnikov kernel CDF. Smoothing on
 the transformed scale avoids boundary bias, and the extended-real conventions
 (q(0) = -inf, q(1) = +inf, K(-inf) = 0, K(+inf) = 1) make the copula
 boundary values exact.
+
+``estimate_grid`` ranks a sample and evaluates one surface.
+``rank_table`` and ``rank_estimate`` split the same arithmetic for many
+samples of one size: the kernel factors of every possible rank are
+tabulated once, and each sample's surface is a gather and a product.
 """
 
 from __future__ import annotations
@@ -23,9 +30,6 @@ from .specfun import epanechnikov_cdf, normal_quantile
 
 __all__ = [
     "PairedSample",
-    "PseudoSample",
-    "CopulaGrid",
-    "make_pseudo_sample",
     "estimate_grid",
     "rank_table",
     "rank_estimate",
@@ -58,66 +62,15 @@ class PairedSample:
         return int(self.xs.size)
 
 
-@dataclass(frozen=True)
-class PseudoSample:
-    """Rank-transformed pairs (Uhat_i, Vhat_i) strictly inside (0, 1)².
-
-    The margin-free representation of a sample: each coordinate is
-    rank/(n+1) in the no-ties case, so estimates depend on the data only
-    through the joint ranks.
-    """
-
-    us: np.ndarray
-    vs: np.ndarray
-
-    def __post_init__(self):
-        us = np.asarray(self.us, dtype=float)
-        vs = np.asarray(self.vs, dtype=float)
-        if us.ndim != 1 or vs.ndim != 1 or us.shape != vs.shape:
-            raise ValueError("us and vs must be one-dimensional and of equal length")
-        if us.size < 1:
-            raise ValueError("pseudo-sample must be nonempty")
-        for name, arr in (("us", us), ("vs", vs)):
-            if not np.all((arr > 0.0) & (arr < 1.0)):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
-        object.__setattr__(self, "us", us)
-        object.__setattr__(self, "vs", vs)
-
-    @property
-    def n(self) -> int:
-        return int(self.us.size)
-
-
-def _check_knots(name: str, knots) -> np.ndarray:
+def _check_knots(knots) -> np.ndarray:
     arr = np.asarray(knots, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a nonempty one-dimensional array")
+        raise ValueError("knots must be a nonempty one-dimensional array")
     if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
+        raise ValueError("knots must lie in [0, 1]")
     if np.any(np.diff(arr) <= 0.0) and arr.size > 1:
-        raise ValueError(f"{name} must be strictly increasing")
+        raise ValueError("knots must be strictly increasing")
     return arr
-
-
-@dataclass(frozen=True)
-class CopulaGrid:
-    """Surface values on a rectangular grid: values[i, j] = f(u_knots[i], v_knots[j])."""
-
-    u_knots: np.ndarray
-    v_knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        uk = _check_knots("u_knots", self.u_knots)
-        vk = _check_knots("v_knots", self.v_knots)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (uk.size, vk.size):
-            raise ValueError(
-                f"values shape {vals.shape} does not match knots ({uk.size}, {vk.size})"
-            )
-        object.__setattr__(self, "u_knots", uk)
-        object.__setattr__(self, "v_knots", vk)
-        object.__setattr__(self, "values", vals)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -136,50 +89,35 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def make_pseudo_sample(sample: PairedSample) -> PseudoSample:
-    """Rank-transform a raw sample into pseudo-observations rank/(n+1).
+def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
+    """Estimate of ``sample`` on the product grid knots x knots.
 
-    Ties are resolved by mid-rank averaging, which keeps the operation
-    total on arbitrary numeric data; with continuous margins ties have
-    probability zero and each coordinate is a permutation of
-    {k/(n+1) : k = 1..n}. Invariant under strictly increasing maps of
-    either margin.
-    """
-    denom = sample.n + 1.0
-    return PseudoSample(_midranks(sample.xs) / denom, _midranks(sample.ys) / denom)
+    Ties get mid-ranks, which keeps the estimator total on arbitrary
+    numeric data; with continuous margins each pseudo-observation
+    coordinate is a permutation of {k/(n+1) : k = 1..n}. The surface is
+    invariant under strictly increasing maps of either margin.
 
-
-def estimate_grid(
-    pseudo: PseudoSample,
-    h: float,
-    u_knots,
-    v_knots=None,
-) -> CopulaGrid:
-    """Evaluate the estimator on the product grid u_knots x v_knots.
-
-    The double sum separates per axis: one n x |knots| table of kernel
+    The double sum separates per axis: one (knots, n) table of kernel
     factors per coordinate, combined by a single matrix product, so the
-    cost is O(n·(|u_knots| + |v_knots|) + n·|u_knots|·|v_knots|) flops
-    instead of a full kernel sum per grid node. The normal quantile is
-    applied to the pseudo-observations once per call.
+    cost is O(n·|knots|²) flops instead of a full kernel sum per grid node.
 
     Parameters
     ----------
-    pseudo : PseudoSample
-        Rank-transformed observations.
+    sample : PairedSample
+        Raw observations.
     h : float
         Positive finite smoothing bandwidth on the transformed scale.
-    u_knots, v_knots : array_like
-        Sorted evaluation coordinates in [0, 1]; ``v_knots`` defaults to
-        ``u_knots``. Endpoints 0 and 1 are allowed and produce exact
-        copula boundary values.
+    knots : array_like
+        Strictly increasing evaluation coordinates in [0, 1]. Endpoints 0
+        and 1 are allowed and produce exact copula boundary values.
+
+    Returns the (|knots|, |knots|) surface, values[i, j] = Chat(knots[i], knots[j]).
     """
-    uk = _check_knots("u_knots", u_knots)
-    vk = uk if v_knots is None else _check_knots("v_knots", v_knots)
-    ku = _factors(uk, pseudo.us, h)
-    kv = _factors(vk, pseudo.vs, h)
-    values = (ku @ kv.T) / pseudo.n
-    return CopulaGrid(uk, vk, values)
+    knots = _check_knots(knots)
+    denom = sample.n + 1.0
+    ku = _factors(knots, _midranks(sample.xs) / denom, h)
+    kv = _factors(knots, _midranks(sample.ys) / denom, h)
+    return (ku @ kv.T) / sample.n
 
 
 def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
@@ -208,16 +146,16 @@ def rank_table(n: int, h: float, knots) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     points = np.arange(2, 2 * n + 1) / (2.0 * (n + 1))
-    return _factors(_check_knots("knots", knots), points, h)
+    return _factors(_check_knots(knots), points, h)
 
 
 def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     """Estimator surface of the raw sample (xs, ys) from a :func:`rank_table`.
 
-    Bit-identical to ``estimate_grid(make_pseudo_sample(PairedSample(xs,
-    ys)), h, knots).values`` for the table's n, h and knots: twice a
-    mid-rank is an integer m, and m / (2(n + 1)) is the same double as
-    mid-rank / (n + 1). The samples are trusted to be finite.
+    Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
+    the table's n, h and knots: twice a mid-rank is an integer m, and
+    m / (2(n + 1)) is the same double as mid-rank / (n + 1). The samples
+    are trusted to be finite.
     """
     n = (table.shape[1] + 1) // 2
     if np.shape(xs) != (n,) or np.shape(ys) != (n,):

@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 import copbands as cb
 from copbands.bands import BandMethod, BandSpec
-from copbands.estimator import PairedSample, interior_grid, make_pseudo_sample
+from copbands.estimator import PairedSample, interior_grid, rank_estimate, rank_table
 from copbands.montecarlo import (
     ExperimentConfig,
     run_bias_check,
@@ -97,11 +97,11 @@ def _ref_sigma2(theta, u, v):
     return np.einsum("i...,ij...,j...->...", weights, cov, weights)
 
 
-def _draw_pseudo(theta, n, rng):
-    """Pseudo-sample of one harness replicate: u, then w, then v = C_u^-1(w | u)."""
+def _draw_sample(theta, n, rng):
+    """Sample of one harness replicate: u, then w, then v = C_u^-1(w | u)."""
     u = rng.random(n)
     w = rng.random(n)
-    return make_pseudo_sample(PairedSample(u, cb.frank_conditional_sample(theta, u, w)))
+    return PairedSample(u, cb.frank_conditional_sample(theta, u, w))
 
 
 def _ref_ranks(x):
@@ -187,9 +187,9 @@ def _surface_gaps(reference_table):
         sigma2 = cb.frank_sigma2(theta, knots[:, None], knots[None, :])
         for j, n in enumerate(NS):
             ref = reference_table[(theta, n)]
-            pseudo = _draw_pseudo(theta, n, _replicate_rng(SEED, i, j, 0))
+            sample = _draw_sample(theta, n, _replicate_rng(SEED, i, j, 0))
             h = COVERAGE_CONFIG.bandwidth_for(n)
-            estimate = cb.estimate_grid(pseudo, h, knots).values
+            estimate = cb.estimate_grid(sample, h, knots)
             for name, got in (("estimate", estimate), ("truth", truth), ("sigma2", sigma2)):
                 gaps[name] = max(gaps[name], float(np.max(np.abs(got - ref[name]))))
     return gaps
@@ -284,12 +284,12 @@ def test_acceptance_5_small_bandwidth_limit():
     for _ in range(20):
         u = rng.random(n)
         v = np.asarray(cb.frank_conditional_sample(1.0, u, rng.random(n)))
-        pseudo = make_pseudo_sample(PairedSample(u, v))
         knots = np.sort(0.02 + 0.96 * rng.random(21))
-        grid = cb.estimate_grid(pseudo, 1e-6, knots).values
+        grid = cb.estimate_grid(PairedSample(u, v), 1e-6, knots)
+        pu, pv = (_ref_ranks(u) + 1) / (n + 1.0), (_ref_ranks(v) + 1) / (n + 1.0)
         emp = np.mean(
-            (pseudo.us[:, None, None] <= knots[None, :, None])
-            & (pseudo.vs[:, None, None] <= knots[None, None, :]),
+            (pu[:, None, None] <= knots[None, :, None])
+            & (pv[:, None, None] <= knots[None, None, :]),
             axis=0,
         )
         worst = max(worst, float(np.max(np.abs(grid - emp))))
@@ -334,16 +334,15 @@ def test_acceptance_7_variance_oracle():
     rng = np.random.default_rng(2026)
     pts_u = 0.05 + 0.9 * rng.random(10)
     pts_v = 0.05 + 0.9 * rng.random(10)
-    uk, vk = np.sort(pts_u), np.sort(pts_v)
-    iu = np.argsort(np.argsort(pts_u))
-    iv = np.argsort(np.argsort(pts_v))
+    knots = np.union1d(pts_u, pts_v)
+    iu, iv = np.searchsorted(knots, pts_u), np.searchsorted(knots, pts_v)
+    table = rank_table(n, h, knots)
     truth = cb.frank_cdf(theta, pts_u, pts_v)
 
     devs = np.empty((reps, 10))
     for r in range(reps):
-        gen = _replicate_rng(99, 0, 0, r)
-        pseudo = _draw_pseudo(theta, n, gen)
-        grid = cb.estimate_grid(pseudo, h, uk, vk).values
+        sample = _draw_sample(theta, n, _replicate_rng(99, 0, 0, r))
+        grid = rank_estimate(table, sample.xs, sample.ys)
         devs[r] = np.sqrt(n) * (grid[iu, iv] - truth)
 
     emp_var = devs.var(axis=0, ddof=1)

@@ -230,6 +230,23 @@ def test_bands_small_n_names_the_constraint(frank_xy, tmp_path, capsys):
     assert "R_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--method", "lil", "--confidence", "7"], "confidence must lie in (0, 1)"),
+        (["--method", "normal", "--theta", "1", "--epsilon", "3", "--A", "-2"], "A must be positive"),
+    ],
+    ids=["lil-confidence", "normal-A-epsilon"],
+)
+def test_bands_checks_every_band_option(frank_xy, tmp_path, capsys, options, message):
+    # options the chosen method does not use are still checked
+    data = frank_xy(n=50)
+    out = tmp_path / "b.csv"
+    assert main(["bands", str(data), *options, "--out", str(out)]) == EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bands_numeric_failure_exit_code(frank_xy, tmp_path, capsys, monkeypatch):
     # a variance surface with a negative cell must map to the numeric exit
     def negative_sigma2(theta, u, v):
@@ -328,8 +345,12 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
         ({"ns": "16, 16"}, "ns must not repeat"),
         ({"seed": "-1"}, "seed must lie in [0, 2**64)"),
         ({"B": "4294967297"}, "B must be >= 1 and <= 2**32"),
+        # band options the listed methods do not use are still checked
+        ({"methods": "lil", "confidence": "7"}, "confidence must lie in (0, 1)"),
+        ({"methods": "normal", "epsilon": "5", "A": "-1"}, "A must be positive"),
     ],
-    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "B-2**32+1"],
+    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "B-2**32+1",
+         "lil-confidence", "normal-A-epsilon"],
 )
 def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
     cfg = _config(tmp_path, **overrides)
@@ -380,6 +401,22 @@ def test_verify_bias_compares_in_increasing_n(tmp_path):
     lines = out.read_text().splitlines()
     assert [line.split(",")[2] for line in lines[1:3]] == ["32", "16"]
     assert lines[-1] == "# verdict: decay observed"
+
+
+@pytest.mark.parametrize(
+    "mode, overrides, message",
+    [
+        ("lil", {"B": "100", "confidence": "7"}, "confidence must lie in (0, 1)"),
+        ("bias", {"B": "1000", "ns": "16"}, "bias decay needs at least two sample sizes"),
+    ],
+    ids=["lil-confidence", "bias-single-n"],
+)
+def test_verify_rejects_unusable_config(tmp_path, capsys, mode, overrides, message):
+    cfg = _config(tmp_path, **overrides)
+    out = tmp_path / "v.csv"
+    assert main(["verify", mode, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_rejects_insufficient_b(tmp_path, capsys):

@@ -158,6 +158,14 @@ def test_coverage_tabulates_once_per_cell(monkeypatch):
     assert calls == {"rank_table": cells, "rank_estimate": cfg.B * cells, "estimate_grid": 0}
 
 
+def test_estimate_grid_is_the_estimators():
+    # bench/worker.py:hook_estimates patches this module attribute to time
+    # the harness's estimates; it must stay the estimator's own function
+    from copbands import estimator
+
+    assert montecarlo.estimate_grid is estimator.estimate_grid
+
+
 def test_coverage_row_order_and_fields():
     cfg = _small_config(B=8)
     report = run_coverage(cfg)
