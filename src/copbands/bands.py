@@ -64,8 +64,8 @@ class BandSpec:
     def __post_init__(self):
         if not isinstance(self.method, BandMethod):
             raise ValueError("method must be a BandMethod")
-        if not self.A > 0.0:
-            raise ValueError("A must be positive")
+        if not 0.0 < self.A < math.inf:
+            raise ValueError("A must be positive and finite")
         if not -1.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (-1, 1)")
         if not 0.0 < self.confidence < 1.0:

@@ -12,10 +12,12 @@ verify
     Deviation-statistic experiments (lil: normalized maximal deviation
     against the replicate mean; bias: normalized mean-vs-truth deviation).
 
-All numeric output uses shortest round-trip decimal formatting, every
-output file gets a JSON manifest sidecar (``<out>.manifest.json``), and
-exit codes are 0 (success), 2 (usage or configuration error), 3 (numeric
-failure).
+A subcommand checks its inputs and returns its CSV lines together with the
+parameters and seed that reproduce them; it writes no file. ``main`` writes
+the CSV at ``--out`` and a JSON manifest sidecar beside it
+(``<out>.manifest.json``). All numeric output uses shortest round-trip
+decimal formatting, and exit codes are 0 (success), 2 (usage or
+configuration error), 3 (numeric failure).
 """
 
 from __future__ import annotations
@@ -43,11 +45,22 @@ EXIT_NUMERIC = 3
 # replicate statistics are benchmarked against this constant in lil mode
 LIL_BOUND = 3.0
 
-CONFIG_KEYS = (
-    "thetas", "ns", "B", "seed", "grid", "bandwidth", "methods",
-    "A", "confidence", "epsilon",
-)
-REQUIRED_CONFIG_KEYS = ("thetas", "ns", "B", "seed", "methods")
+_REQUIRED = object()
+
+# key: (value parser, list-valued, default or _REQUIRED). Keys are parsed,
+# and their errors reported, in this order.
+CONFIG_FIELDS = {
+    "thetas": (float, True, _REQUIRED),
+    "ns": (int, True, _REQUIRED),
+    "B": (int, False, _REQUIRED),
+    "seed": (int, False, _REQUIRED),
+    "methods": (str, True, _REQUIRED),
+    "grid": (int, False, 33),
+    "bandwidth": (lambda raw: None if raw == "auto" else float(raw), False, None),
+    "A": (float, False, 0.5),
+    "confidence": (float, False, 0.99),
+    "epsilon": (float, False, 0.0),
+}
 
 
 class CliError(Exception):
@@ -130,99 +143,75 @@ def _parse_config(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: duplicate key '{key}'")
         entries[key] = (lineno, value)
 
-    unknown = sorted(set(entries) - set(CONFIG_KEYS))
+    unknown = sorted(set(entries) - set(CONFIG_FIELDS))
     if unknown:
         raise CliError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    missing = [key for key in REQUIRED_CONFIG_KEYS if key not in entries]
+    missing = [key for key, field in CONFIG_FIELDS.items()
+               if field[2] is _REQUIRED and key not in entries]
     if missing:
         raise CliError(f"{path}: missing required config keys: {', '.join(missing)}")
 
     cfg = {}
-    lineno, raw = entries["thetas"]
-    cfg["thetas"] = _parse_list(path, lineno, "thetas", raw, float)
-    lineno, raw = entries["ns"]
-    cfg["ns"] = _parse_list(path, lineno, "ns", raw, int)
-    lineno, raw = entries["B"]
-    cfg["B"] = _parse_scalar(path, lineno, "B", raw, int)
-    lineno, raw = entries["seed"]
-    cfg["seed"] = _parse_scalar(path, lineno, "seed", raw, int)
-    lineno, raw = entries["methods"]
-    methods = _parse_list(path, lineno, "methods", raw, str)
-    for method in methods:
-        if method not in ("lil", "normal"):
-            raise CliError(f"{path}:{lineno}: unknown method '{method}' (use lil or normal)")
-    if len(set(methods)) != len(methods):
-        raise CliError(f"{path}:{lineno}: duplicate method in 'methods'")
-    cfg["methods"] = methods
-
-    if "grid" in entries:
-        lineno, raw = entries["grid"]
-        cfg["grid"] = _parse_scalar(path, lineno, "grid", raw, int)
-    else:
-        cfg["grid"] = 33
-    if "bandwidth" in entries:
-        lineno, raw = entries["bandwidth"]
-        cfg["bandwidth"] = None if raw == "auto" else _parse_scalar(path, lineno, "bandwidth", raw, float)
-    else:
-        cfg["bandwidth"] = None
-    for key, default in (("A", 0.5), ("confidence", 0.99), ("epsilon", 0.0)):
-        if key in entries:
-            lineno, raw = entries[key]
-            cfg[key] = _parse_scalar(path, lineno, key, raw, float)
-        else:
+    for key, (kind, many, default) in CONFIG_FIELDS.items():
+        if key not in entries:
             cfg[key] = default
+            continue
+        lineno, raw = entries[key]
+        cfg[key] = (_parse_list if many else _parse_scalar)(path, lineno, key, raw, kind)
+        if key == "methods":
+            for method in cfg[key]:
+                if method not in ("lil", "normal"):
+                    raise CliError(f"{path}:{lineno}: unknown method '{method}' (use lil or normal)")
+            if len(set(cfg[key])) != len(cfg[key]):
+                raise CliError(f"{path}:{lineno}: duplicate method in 'methods'")
     return cfg
 
 
-def _write_lines(out_path: str, lines) -> None:
+def _write_result(args, lines, parameters: dict, seed, started: float) -> None:
+    """Write the CSV at ``args.out`` and its manifest beside it."""
+    path = args.out
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        manifest = {
+            "subcommand": args.command,
+            "parameters": parameters,
+            "seed": seed,
+            "version": __version__,
+            "duration_seconds": round(time.monotonic() - started, 6),
+        }
+        path = f"{args.out}.manifest.json"
+        Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"{out_path}: {exc.strerror or exc}") from exc
+        raise CliError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _write_manifest(out_path: str, subcommand: str, parameters: dict, seed, started: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "seed": seed,
-        "version": __version__,
-        "duration_seconds": round(time.monotonic() - started, 6),
-    }
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    try:
-        Path(str(out_path) + ".manifest.json").write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"{out_path}.manifest.json: {exc.strerror or exc}") from exc
+def _estimate(args, sample: PairedSample):
+    """Knots, estimate surface and manifest parameters for ``--grid`` and ``--bandwidth``."""
+    knots = interior_grid(args.grid)
+    h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
+    parameters = {"input": args.input, "n": sample.n, "grid": args.grid, "bandwidth": h}
+    return knots, estimate_grid(sample, h, knots), parameters
 
 
-def _cmd_estimate(args) -> int:
-    started = time.monotonic()
+def _grid_lines(header: str, knots, *surfaces) -> list:
+    """One ``u,v,<surface values>`` CSV line per knot pair, u-major."""
+    lines = [header]
+    for i, u in enumerate(knots):
+        for j, v in enumerate(knots):
+            lines.append(",".join([_fmt(u), _fmt(v), *(_fmt(s[i, j]) for s in surfaces)]))
+    return lines
+
+
+def _cmd_estimate(args):
     sample = _read_xy(args.input)
     if sample.n < 16:
         raise CliError(f"{args.input}: need at least 16 data rows, found {sample.n}")
-    knots = interior_grid(args.grid)
-    h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
-    grid = estimate_grid(sample, h, knots)
-
-    lines = ["u,v,estimate"]
-    for i, u in enumerate(knots):
-        for j, v in enumerate(knots):
-            lines.append(f"{_fmt(u)},{_fmt(v)},{_fmt(grid[i, j])}")
-    _write_lines(args.out, lines)
-    _write_manifest(
-        args.out,
-        "estimate",
-        {"input": args.input, "n": sample.n, "grid": args.grid, "bandwidth": h},
-        seed=None,
-        started=started,
-    )
-    return EXIT_OK
+    knots, grid, parameters = _estimate(args, sample)
+    return _grid_lines("u,v,estimate", knots, grid), parameters, None
 
 
-def _cmd_bands(args) -> int:
-    started = time.monotonic()
+def _cmd_bands(args):
     sample = _read_xy(args.input)
     if sample.n < 16:
         raise CliError(
@@ -232,10 +221,10 @@ def _cmd_bands(args) -> int:
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
         raise CliError("--method normal requires --theta (variance is evaluated at the true parameter)")
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise CliError("theta must be a finite real number")
     spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
-    knots = interior_grid(args.grid)
-    h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
-    center = estimate_grid(sample, h, knots)
+    knots, center, parameters = _estimate(args, sample)
 
     sigma2 = None
     if method is BandMethod.NORMAL:
@@ -248,41 +237,25 @@ def _cmd_bands(args) -> int:
         lower = np.clip(lower, 0.0, 1.0)
         upper = np.clip(upper, 0.0, 1.0)
 
-    lines = ["u,v,lower,center,upper"]
-    for i, u in enumerate(knots):
-        for j, v in enumerate(knots):
-            lines.append(
-                f"{_fmt(u)},{_fmt(v)},{_fmt(lower[i, j])},"
-                f"{_fmt(center[i, j])},{_fmt(upper[i, j])}"
-            )
-    _write_lines(args.out, lines)
-    parameters = {
-        "input": args.input,
-        "n": sample.n,
-        "grid": args.grid,
-        "bandwidth": h,
-        "method": method.value,
-        "A": args.A,
-        "epsilon": args.epsilon,
-        "confidence": args.confidence,
-        "theta": args.theta,
-        "clamp": clamp,
-    }
-    _write_manifest(args.out, "bands", parameters, seed=None, started=started)
-    return EXIT_OK
+    parameters.update(method=method.value, A=args.A, epsilon=args.epsilon,
+                      confidence=args.confidence, theta=args.theta, clamp=clamp)
+    return _grid_lines("u,v,lower,center,upper", knots, lower, center, upper), parameters, None
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """Experiment of a parsed config, one band spec per listed method.
+def _load_experiment(args):
+    """Experiment of ``--config`` with ``--seed`` applied, and its manifest parameters.
 
-    Every spec gets all of A, epsilon and confidence, so each band option
-    is checked whichever methods are listed.
+    Every band spec gets all of A, epsilon and confidence, so each band
+    option is checked whichever methods are listed.
     """
+    cfg = _parse_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     specs = tuple(
         BandSpec(BandMethod(method), A=cfg["A"], epsilon=cfg["epsilon"], confidence=cfg["confidence"])
         for method in cfg["methods"]
     )
-    return ExperimentConfig(
+    config = ExperimentConfig(
         thetas=cfg["thetas"],
         ns=cfg["ns"],
         B=cfg["B"],
@@ -291,14 +264,12 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         bandwidth=cfg["bandwidth"],
         band_specs=specs,
     )
+    return config, {**cfg, "config": args.config}
 
 
-def _cmd_simulate_coverage(args) -> int:
-    started = time.monotonic()
-    cfg = _parse_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    report = run_coverage(_experiment_config(cfg))
+def _cmd_simulate_coverage(args):
+    config, parameters = _load_experiment(args)
+    report = run_coverage(config)
 
     lines = ["method,theta,n,coverage,mc_stderr,B,seed"]
     for row in report.rows:
@@ -306,19 +277,12 @@ def _cmd_simulate_coverage(args) -> int:
             f"{row.method},{_fmt(row.theta)},{row.n},{_fmt(row.coverage)},"
             f"{_fmt(row.mc_stderr)},{row.B},{row.seed}"
         )
-    _write_lines(args.out, lines)
-    parameters = {key: cfg[key] for key in CONFIG_KEYS if key in cfg}
-    parameters["config"] = args.config
-    _write_manifest(args.out, "simulate-coverage", parameters, seed=cfg["seed"], started=started)
-    return EXIT_OK
+    return lines, parameters, parameters["seed"]
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
-    cfg = _parse_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    config = _experiment_config(cfg)
+def _cmd_verify(args):
+    config, parameters = _load_experiment(args)
+    parameters["mode"] = args.mode
 
     if args.mode == "lil":
         report = run_lil_check(config)
@@ -346,13 +310,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"bias,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.statistics[0])}")
         verdict = "decay observed" if decay else "decay not observed"
     lines.append(f"# verdict: {verdict}")
-    _write_lines(args.out, lines)
-
-    parameters = {key: cfg[key] for key in CONFIG_KEYS if key in cfg}
-    parameters["config"] = args.config
-    parameters["mode"] = args.mode
-    _write_manifest(args.out, "verify", parameters, seed=cfg["seed"], started=started)
-    return EXIT_OK
+    return lines, parameters, parameters["seed"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,8 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        lines, parameters, seed = args.func(args)
+        _write_result(args, lines, parameters, seed, started)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -413,6 +373,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

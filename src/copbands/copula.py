@@ -35,19 +35,24 @@ INDEPENDENCE_THRESHOLD = 1e-8
 THETA_MAX = 700.0
 
 
-def _check_theta(theta) -> float:
-    th = float(theta)
-    if not math.isfinite(th):
-        raise ValueError("theta must be a finite real number")
-    return th
-
-
 def _check_unit(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     # NaN fails both comparisons
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return arr
+
+
+def _check_args(theta, u, v, v_name: str = "v"):
+    """(theta, u, v, scalar): theta as a finite float, and u and v checked to
+    lie in [0, 1], broadcast and made at least 1-D; ``scalar`` tells whether
+    the broadcast inputs were 0-D.
+    """
+    th = float(theta)
+    if not math.isfinite(th):
+        raise ValueError("theta must be a finite real number")
+    ua, va = np.broadcast_arrays(_check_unit("u", u), _check_unit(v_name, v))
+    return th, np.atleast_1d(ua), np.atleast_1d(va), ua.ndim == 0
 
 
 def frechet_lower(u, v):
@@ -65,6 +70,46 @@ def _envelope(theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if theta > 0:
         return frechet_upper(u, v)
     return frechet_lower(u, v)
+
+
+def _denominator(th: float, ua: np.ndarray, va: np.ndarray):
+    """(z, 1 + z) for z = expm1(-theta*u)*expm1(-theta*v)/expm1(-theta).
+
+    1 + z underflows in the computed z once C exceeds log(2)/theta, so
+    where z <= -1/2 it is rebuilt from the exponentials instead. Call under
+    ``np.errstate`` ignoring overflow: expm1 saturates to inf on huge |theta|.
+    """
+    big_g = float(np.expm1(-th))
+    z = np.expm1(-th * ua) * (np.expm1(-th * va) / big_g)
+    one_z = 1.0 + z
+    far = z <= -0.5
+    if np.any(far):
+        a = np.exp(-th * ua[far])
+        b = np.exp(-th * va[far])
+        one_z[far] = (a + b - math.exp(-th) - a * b) / -big_g
+    return z, one_z
+
+
+def _cdf(th: float, ua: np.ndarray, va: np.ndarray) -> np.ndarray:
+    if abs(th) < INDEPENDENCE_THRESHOLD:
+        out = ua * va
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z, one_z = _denominator(th, ua, va)
+            out = -np.log1p(z) / th
+            far = z <= -0.5
+            out[far] = -np.log(one_z[far]) / th
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = _envelope(th, ua, va)[bad]
+
+    # margins are exact by definition; pin them against rounding drift
+    out[(ua == 0.0) | (va == 0.0)] = 0.0
+    top_u = va == 1.0
+    out[top_u] = ua[top_u]
+    top_v = ua == 1.0
+    out[top_v] = va[top_v]
+    return out
 
 
 def frank_cdf(theta, u, v):
@@ -90,44 +135,43 @@ def frank_cdf(theta, u, v):
     float or ndarray
         Copula values in [0, 1].
     """
-    th = _check_theta(theta)
-    ua, va = np.broadcast_arrays(_check_unit("u", u), _check_unit("v", v))
-    scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
-    va = np.atleast_1d(va)
-
-    if abs(th) < INDEPENDENCE_THRESHOLD:
-        out = ua * va
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # np.expm1 saturates to inf instead of raising on huge |theta|
-            big_g = float(np.expm1(-th))
-            ratio_v = np.expm1(-th * va) / big_g
-            z = np.expm1(-th * ua) * ratio_v
-            out = -np.log1p(z) / th
-            # 1 + z underflows in the computed z once C exceeds log(2)/theta;
-            # rebuild the complement from the exponentials instead.
-            far = z <= -0.5
-            if np.any(far):
-                a = np.exp(-th * ua[far])
-                b = np.exp(-th * va[far])
-                g = math.exp(-th)
-                complement = (a + b - g - a * b) / -big_g
-                out[far] = -np.log(complement) / th
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out[bad] = _envelope(th, ua, va)[bad]
-
-    # margins are exact by definition; pin them against rounding drift
-    out[(ua == 0.0) | (va == 0.0)] = 0.0
-    top_u = va == 1.0
-    out[top_u] = ua[top_u]
-    top_v = ua == 1.0
-    out[top_v] = va[top_v]
-
+    th, ua, va, scalar = _check_args(theta, u, v)
+    out = _cdf(th, ua, va)
     if scalar:
         return float(out[0])
     return out
+
+
+def _partials(th: float, ua: np.ndarray, va: np.ndarray):
+    if abs(th) < INDEPENDENCE_THRESHOLD:
+        return va.copy(), ua.copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        big_g = float(np.expm1(-th))
+        # D/expm1(-theta) = 1 + z
+        _, one_z = _denominator(th, ua, va)
+        cu = np.exp(-th * ua) * (np.expm1(-th * va) / big_g) / one_z
+        cv = np.exp(-th * va) * (np.expm1(-th * ua) / big_g) / one_z
+    if th > 0:
+        cu_lim = np.where(ua < va, 1.0, np.where(ua > va, 0.0, 0.5))
+        cv_lim = np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5))
+    else:
+        s = ua + va
+        cu_lim = np.where(s > 1.0, 1.0, np.where(s < 1.0, 0.0, 0.5))
+        cv_lim = cu_lim
+    bad = ~np.isfinite(cu)
+    if np.any(bad):
+        cu[bad] = cu_lim[bad]
+    bad = ~np.isfinite(cv)
+    if np.any(bad):
+        cv[bad] = cv_lim[bad]
+    cu[va == 0.0] = 0.0
+    cu[va == 1.0] = 1.0
+    cv[ua == 0.0] = 0.0
+    cv[ua == 1.0] = 1.0
+    # rounding overshoots 1 by an ulp at strong negative dependence
+    np.clip(cu, 0.0, 1.0, out=cu)
+    np.clip(cv, 0.0, 1.0, out=cv)
+    return cu, cv
 
 
 def frank_partials(theta, u, v):
@@ -140,53 +184,8 @@ def frank_partials(theta, u, v):
 
     Returns a pair of floats for scalar input, a pair of arrays otherwise.
     """
-    th = _check_theta(theta)
-    ua, va = np.broadcast_arrays(_check_unit("u", u), _check_unit("v", v))
-    scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
-    va = np.atleast_1d(va)
-
-    if abs(th) < INDEPENDENCE_THRESHOLD:
-        cu = va.astype(float).copy()
-        cv = ua.astype(float).copy()
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            big_g = float(np.expm1(-th))
-            ratio_u = np.expm1(-th * ua) / big_g
-            ratio_v = np.expm1(-th * va) / big_g
-            # D/expm1(-theta) = 1 + z, with the same far-branch rebuild as
-            # the CDF to keep the denominator accurate near its zero.
-            z = np.expm1(-th * ua) * ratio_v
-            dg = 1.0 + z
-            far = z <= -0.5
-            if np.any(far):
-                a = np.exp(-th * ua[far])
-                b = np.exp(-th * va[far])
-                g = math.exp(-th)
-                dg[far] = (a + b - g - a * b) / -big_g
-            cu = np.exp(-th * ua) * ratio_v / dg
-            cv = np.exp(-th * va) * ratio_u / dg
-        if th > 0:
-            cu_lim = np.where(ua < va, 1.0, np.where(ua > va, 0.0, 0.5))
-            cv_lim = np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5))
-        else:
-            s = ua + va
-            cu_lim = np.where(s > 1.0, 1.0, np.where(s < 1.0, 0.0, 0.5))
-            cv_lim = cu_lim
-        bad = ~np.isfinite(cu)
-        if np.any(bad):
-            cu[bad] = cu_lim[bad]
-        bad = ~np.isfinite(cv)
-        if np.any(bad):
-            cv[bad] = cv_lim[bad]
-        cu[va == 0.0] = 0.0
-        cu[va == 1.0] = 1.0
-        cv[ua == 0.0] = 0.0
-        cv[ua == 1.0] = 1.0
-        # rounding overshoots 1 by an ulp at strong negative dependence
-        np.clip(cu, 0.0, 1.0, out=cu)
-        np.clip(cv, 0.0, 1.0, out=cv)
-
+    th, ua, va, scalar = _check_args(theta, u, v)
+    cu, cv = _partials(th, ua, va)
     if scalar:
         return float(cu[0]), float(cv[0])
     return cu, cv
@@ -215,15 +214,11 @@ def frank_conditional_sample(theta, u, w):
     w : float or array_like
         Conditional probability level in [0, 1]; 0 and 1 map to exact 0/1.
     """
-    th = _check_theta(theta)
+    th, ua, wa, scalar = _check_args(theta, u, w, "w")
     if abs(th) > THETA_MAX:
         raise ValueError(
             f"|theta| = {abs(th):g} out of supported range (exp overflow beyond {THETA_MAX:g})"
         )
-    ua, wa = np.broadcast_arrays(_check_unit("u", u), _check_unit("w", w))
-    scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
-    wa = np.atleast_1d(wa)
 
     if abs(th) < INDEPENDENCE_THRESHOLD:
         out = wa.astype(float).copy()
@@ -258,16 +253,9 @@ def frank_sigma2(theta, u, v):
     Zero on the boundary of the unit square, where the indicators are
     degenerate. At independence this reduces to u(1-u)v(1-v).
     """
-    th = _check_theta(theta)
-    ua, va = np.broadcast_arrays(_check_unit("u", u), _check_unit("v", v))
-    scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
-    va = np.atleast_1d(va)
-
-    c = np.atleast_1d(frank_cdf(th, ua, va))
-    cu, cv = frank_partials(th, ua, va)
-    cu = np.atleast_1d(cu)
-    cv = np.atleast_1d(cv)
+    th, ua, va, scalar = _check_args(theta, u, v)
+    c = _cdf(th, ua, va)
+    cu, cv = _partials(th, ua, va)
     s2 = (
         c * (1.0 - c)
         - 2.0 * (1.0 - ua) * c * cu

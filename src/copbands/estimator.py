@@ -184,17 +184,13 @@ def default_bandwidth(n: int) -> float:
     return 1.0 / math.log(n)
 
 
-def interior_grid(resolution: int = 33, include_boundary: bool = False) -> np.ndarray:
+def interior_grid(resolution: int = 33) -> np.ndarray:
     """Uniform interior evaluation grid {i/(resolution+1) : i = 1..resolution}.
 
     The default 33 knots per axis avoid the exact boundary, where
-    pointwise normal-approximation bands degenerate to zero width; pass
-    ``include_boundary=True`` to append the exact 0 and 1 endpoints.
+    pointwise normal-approximation bands degenerate to zero width.
     """
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    knots = np.arange(1, resolution + 1, dtype=float) / (resolution + 1.0)
-    if include_boundary:
-        knots = np.concatenate(([0.0], knots, [1.0]))
-    return knots
+    return np.arange(1, resolution + 1, dtype=float) / (resolution + 1.0)

@@ -50,6 +50,8 @@ def test_band_spec_defaults_and_validation():
     assert spec.confidence == 0.99
     with pytest.raises(ValueError):
         BandSpec(BandMethod.LIL, A=0.0)
+    with pytest.raises(ValueError, match="A must be positive and finite"):
+        BandSpec(BandMethod.LIL, A=float("inf"))
     with pytest.raises(ValueError):
         BandSpec(BandMethod.LIL, epsilon=1.0)
     with pytest.raises(ValueError):

@@ -97,6 +97,14 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert "no.csv" in capsys.readouterr().err
 
 
+def test_estimate_unwritable_out_names_the_path(frank_xy, tmp_path, capsys):
+    data = frank_xy(n=30)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["estimate", str(data), "--out", str(out)]) == EXIT_USAGE
+    assert str(out) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
     data = frank_xy(n=30)
     out = tmp_path / "est.csv"
@@ -235,8 +243,10 @@ def test_bands_small_n_names_the_constraint(frank_xy, tmp_path, capsys):
     [
         (["--method", "lil", "--confidence", "7"], "confidence must lie in (0, 1)"),
         (["--method", "normal", "--theta", "1", "--epsilon", "3", "--A", "-2"], "A must be positive"),
+        (["--A", "inf", "--no-clamp"], "A must be positive and finite"),
+        (["--method", "lil", "--theta", "nan"], "theta must be a finite real number"),
     ],
-    ids=["lil-confidence", "normal-A-epsilon"],
+    ids=["lil-confidence", "normal-A-epsilon", "A-inf", "lil-theta-nan"],
 )
 def test_bands_checks_every_band_option(frank_xy, tmp_path, capsys, options, message):
     # options the chosen method does not use are still checked

@@ -138,7 +138,7 @@ def test_estimate_grid_boundary_rows_exact():
     from copbands.specfun import epanechnikov_cdf, normal_quantile
 
     sample = _frank_sample(1.0, 40, 8)
-    knots = interior_grid(5, include_boundary=True)
+    knots = np.concatenate(([0.0], interior_grid(5), [1.0]))
     grid = estimate_grid(sample, 0.3, knots)
     assert np.all(grid[0, :] == 0.0)
     assert np.all(grid[:, 0] == 0.0)
@@ -215,7 +215,7 @@ def _raw_samples(draw):
 @given(_raw_samples(), st.floats(0.05, 2.0))
 def test_estimate_grid_properties(sample, h):
     xs, ys = sample
-    knots = interior_grid(9, include_boundary=True)
+    knots = np.concatenate(([0.0], interior_grid(9), [1.0]))
     grid = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.all((grid >= 0.0) & (grid <= 1.0))
     # monotone up to summation rounding, n·eps for n <= 40
@@ -258,7 +258,7 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
         xs, ys = np.round(xs, 1), np.round(ys, 1)
         assert np.unique(xs).size < n and np.unique(ys).size < n
     h = default_bandwidth(n)
-    knots = interior_grid(9, include_boundary=True) if boundary else interior_grid(33)
+    knots = np.concatenate(([0.0], interior_grid(9), [1.0])) if boundary else interior_grid(33)
     looked_up = rank_estimate(rank_table(n, h, knots), xs, ys)
     direct = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.array_equal(looked_up, direct)
@@ -307,7 +307,6 @@ def test_interior_grid_knots():
     assert knots.shape == (33,)
     np.testing.assert_allclose(knots, np.arange(1, 34) / 34.0, atol=1e-15)
     np.testing.assert_array_equal(interior_grid(2), [1.0 / 3.0, 2.0 / 3.0])
-    with_boundary = interior_grid(3, include_boundary=True)
-    np.testing.assert_array_equal(with_boundary, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(interior_grid(3), [0.25, 0.5, 0.75])
     with pytest.raises(ValueError):
         interior_grid(1)
