@@ -47,6 +47,8 @@ LIL_BOUND = 3.0
 
 _REQUIRED = object()
 
+METHODS = [method.value for method in BandMethod]
+
 # key: (value parser, list-valued, default or _REQUIRED). Keys are parsed,
 # and their errors reported, in this order.
 CONFIG_FIELDS = {
@@ -55,11 +57,11 @@ CONFIG_FIELDS = {
     "B": (int, False, _REQUIRED),
     "seed": (int, False, _REQUIRED),
     "methods": (str, True, _REQUIRED),
-    "grid": (int, False, 33),
+    "grid": (int, False, ExperimentConfig.grid_resolution),
     "bandwidth": (lambda raw: None if raw == "auto" else float(raw), False, None),
-    "A": (float, False, 0.5),
-    "confidence": (float, False, 0.99),
-    "epsilon": (float, False, 0.0),
+    "A": (float, False, BandSpec.A),
+    "confidence": (float, False, BandSpec.confidence),
+    "epsilon": (float, False, BandSpec.epsilon),
 }
 
 
@@ -160,8 +162,9 @@ def _parse_config(path: str) -> dict:
         cfg[key] = (_parse_list if many else _parse_scalar)(path, lineno, key, raw, kind)
         if key == "methods":
             for method in cfg[key]:
-                if method not in ("lil", "normal"):
-                    raise CliError(f"{path}:{lineno}: unknown method '{method}' (use lil or normal)")
+                if method not in METHODS:
+                    raise CliError(f"{path}:{lineno}: unknown method '{method}' "
+                                   f"(use {' or '.join(METHODS)})")
             if len(set(cfg[key])) != len(cfg[key]):
                 raise CliError(f"{path}:{lineno}: duplicate method in 'methods'")
     return cfg
@@ -183,6 +186,8 @@ def _write_result(args, lines, parameters: dict, seed, started: float) -> None:
         Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     except OSError as exc:
+        if path != args.out:  # no CSV without the manifest that reproduces it
+            Path(args.out).unlink(missing_ok=True)
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
 
 
@@ -322,20 +327,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate", help="estimate a copula surface from x,y data")
     estimate.add_argument("input", help="CSV file with header x,y")
-    estimate.add_argument("--grid", type=int, default=33, help="interior grid resolution per axis")
+    estimate.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution,
+                          help="interior grid resolution per axis")
     estimate.add_argument("--bandwidth", type=float, default=None, help="override h (default 1/log n)")
     estimate.add_argument("--out", required=True, help="output CSV path")
     estimate.set_defaults(func=_cmd_estimate)
 
     bands = sub.add_parser("bands", help="estimate plus confidence band surfaces")
     bands.add_argument("input", help="CSV file with header x,y")
-    bands.add_argument("--method", choices=["lil", "normal"], default="lil")
-    bands.add_argument("--A", type=float, default=0.5, help="LIL half-width constant")
-    bands.add_argument("--epsilon", type=float, default=0.0, help="LIL margin factor in (-1, 1)")
-    bands.add_argument("--confidence", type=float, default=0.99, help="normal-method confidence")
+    bands.add_argument("--method", choices=METHODS, default=BandMethod.LIL.value)
+    bands.add_argument("--A", type=float, default=BandSpec.A, help="LIL half-width constant")
+    bands.add_argument("--epsilon", type=float, default=BandSpec.epsilon,
+                       help="LIL margin factor in (-1, 1)")
+    bands.add_argument("--confidence", type=float, default=BandSpec.confidence,
+                       help="normal-method confidence")
     bands.add_argument("--theta", type=float, default=None,
                        help="true Frank parameter for the normal-method variance")
-    bands.add_argument("--grid", type=int, default=33)
+    bands.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution)
     bands.add_argument("--bandwidth", type=float, default=None)
     bands.add_argument("--no-clamp", action="store_true", help="do not truncate bands to [0, 1]")
     bands.add_argument("--out", required=True)

@@ -9,6 +9,11 @@ Three experiments over Frank-copula ground truth:
   surface standing in for the exact estimator expectation.
 * ``run_bias_check``: the normalized bias proxy R_n * sup |Ebar - C|.
 
+Each is a fold over one cell pipeline: one rank table per n (it does not
+depend on theta), one task per (theta, n, chunk) in that order, and one
+map over all tasks. Coverage workers return counts; the deviation checks
+concatenate one cell's chunk stacks at a time.
+
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
@@ -16,15 +21,18 @@ Reports are therefore bit-identical for any worker count under a fixed
 BLAS thread count; above n = 512 the BLAS thread count moves the last
 bits of the estimate's matrix product. The worker count defaults to the
 ``COPBANDS_WORKERS`` environment variable (1 if unset); a single worker
-runs in-process with no pool.
+runs in-process with no pool, more workers share one process pool per run.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -72,24 +80,30 @@ class ExperimentConfig:
     band_specs: tuple = (BandSpec(BandMethod.LIL),)
 
     def __post_init__(self):
+        for name in ("ns", "B", "seed", "grid_resolution"):
+            value = getattr(self, name)
+            try:
+                value = tuple(map(operator.index, value)) if name == "ns" else operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be given as integers, not {value!r}") from None
+            object.__setattr__(self, name, value)
         thetas = tuple(float(t) for t in self.thetas)
         if not thetas or not all(np.isfinite(thetas)):
             raise ValueError("thetas must be a nonempty list of finite reals")
         if any(abs(t) > THETA_MAX for t in thetas):
             raise ValueError(f"|theta| must be <= {THETA_MAX:g} (exp overflow in the sampler)")
-        ns = tuple(int(n) for n in self.ns)
-        if not ns or any(n < 16 for n in ns):
+        if not self.ns or any(n < 16 for n in self.ns):
             raise ValueError("all sample sizes must be >= 16")
-        for name, values in (("thetas", thetas), ("ns", ns)):
+        for name, values in (("thetas", thetas), ("ns", self.ns)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value")
             if len(values) > 2**16:
                 raise ValueError(f"at most 2**16 {name} (16-bit stream-key field)")
-        if not 1 <= int(self.B) <= 2**32:
+        if not 1 <= self.B <= 2**32:
             raise ValueError("B must be >= 1 and <= 2**32 (32-bit stream-key field)")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64) (64-bit stream-key field)")
-        if int(self.grid_resolution) < 2:
+        if self.grid_resolution < 2:
             raise ValueError("grid resolution must be >= 2")
         specs = tuple(self.band_specs)
         if not specs or not all(isinstance(s, BandSpec) for s in specs):
@@ -99,10 +113,6 @@ class ExperimentConfig:
                 raise ValueError("bandwidth must be None or a finite positive number")
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "B", int(self.B))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "grid_resolution", int(self.grid_resolution))
         object.__setattr__(self, "band_specs", specs)
 
     def bandwidth_for(self, n: int) -> float:
@@ -189,28 +199,6 @@ def _replicate_rng(seed: int, theta_idx: int, n_idx: int, r: int) -> np.random.G
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, theta_idx, n_idx, r)))
 
 
-def _chunk_ranges(B: int):
-    return [(r0, min(r0 + REPLICATE_CHUNK, B)) for r0 in range(0, B, REPLICATE_CHUNK)]
-
-
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
-
-
-def _run_tasks(fn, tasks, workers: int):
-    """Evaluate fn over tasks, returning results in submission order."""
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, task) for task in tasks]
-        return [future.result() for future in futures]
-
-
 def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table."""
     (seed, theta, theta_idx, n, n_idx, r0, r1, table) = args
@@ -231,38 +219,53 @@ def _coverage_chunk(args):
     return np.array([np.count_nonzero(covers(stack, hw, truth)) for hw in half_widths])
 
 
+def _cells(config: ExperimentConfig, workers, chunk_fn, extras=None):
+    """Yield ``(theta_idx, n_idx, chunk results)`` per cell in (theta, n) order.
+
+    One rank table per n and one task per (theta, n, chunk), extended by the
+    tuple ``extras[theta_idx][n_idx]`` if given. ``chunk_fn`` maps over all
+    tasks at once: lazily in process for one worker or one task, else
+    through a single process pool.
+    """
+    workers = int(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
+    if workers < 1:
+        raise ValueError("worker count must be >= 1")
+    knots = interior_grid(config.grid_resolution)
+    tables = [rank_table(n, config.bandwidth_for(n), knots) for n in config.ns]
+    chunks = [(r0, min(r0 + REPLICATE_CHUNK, config.B))
+              for r0 in range(0, config.B, REPLICATE_CHUNK)]
+    cells = [(i, j) for i in range(len(config.thetas)) for j in range(len(config.ns))]
+    tasks = [(config.seed, config.thetas[i], i, config.ns[j], j, r0, r1, tables[j],
+              *(extras[i][j] if extras else ())) for i, j in cells for r0, r1 in chunks]
+    serial = workers == 1 or len(tasks) <= 1
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+        results = map(chunk_fn, tasks) if serial else pool.map(chunk_fn, tasks)
+        for i, j in cells:
+            yield i, j, list(islice(results, len(chunks)))
+
+
 def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     """Empirical simultaneous-coverage frequencies per (method, theta, n).
 
     Each replicate draws a Frank sample by conditional sampling and
     estimates the copula on the shared interior grid from its ranks and
-    the cell's rank table. A band covers the replicate when the true
+    the rank table of its n. A band covers the replicate when the true
     surface lies within the estimate ± the band's half-width, computed
     once per cell, at every knot. Rows are emitted in (method, theta, n) order with Monte Carlo
     standard errors sqrt(p(1-p)/B) attached.
     """
-    workers = _resolve_workers(workers)
     knots = interior_grid(config.grid_resolution)
     need_sigma2 = any(spec.method is BandMethod.NORMAL for spec in config.band_specs)
-
-    tasks = []
-    for i, theta in enumerate(config.thetas):
+    extras = []  # per cell: the truth surface and one half-width per band
+    for theta in config.thetas:
         truth = frank_cdf(theta, knots[:, None], knots[None, :])
-        sigma2 = None
-        if need_sigma2:
-            sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :])
-        for j, n in enumerate(config.ns):
-            table = rank_table(n, config.bandwidth_for(n), knots)
-            half_widths = [half_width(spec, n, sigma2) for spec in config.band_specs]
-            for r0, r1 in _chunk_ranges(config.B):
-                tasks.append(
-                    (config.seed, theta, i, n, j, r0, r1, table, truth, half_widths)
-                )
+        sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :]) if need_sigma2 else None
+        extras.append([(truth, [half_width(spec, n, sigma2) for spec in config.band_specs])
+                       for n in config.ns])
 
-    # tasks run in (theta, n, chunk) order; sum each cell's chunks
-    chunk_counts = _run_tasks(_coverage_chunk, tasks, workers)
-    shape = (len(config.thetas), len(config.ns), -1, len(config.band_specs))
-    counts = np.reshape(chunk_counts, shape).sum(axis=2)
+    counts = np.zeros((len(config.thetas), len(config.ns), len(config.band_specs)), dtype=int)
+    for i, j, chunk_counts in _cells(config, workers, _coverage_chunk, extras):
+        counts[i, j] = np.sum(chunk_counts, axis=0)
 
     rows = []
     for k, spec in enumerate(config.band_specs):
@@ -285,17 +288,6 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     return CoverageReport(tuple(rows))
 
 
-def _replicate_grid_stack(config: ExperimentConfig, theta, theta_idx, n, n_idx, workers):
-    knots = interior_grid(config.grid_resolution)
-    table = rank_table(n, config.bandwidth_for(n), knots)
-    tasks = [
-        (config.seed, theta, theta_idx, n, n_idx, r0, r1, table)
-        for r0, r1 in _chunk_ranges(config.B)
-    ]
-    stacks = _run_tasks(_grid_chunk, tasks, workers)
-    return knots, np.concatenate(stacks, axis=0)
-
-
 def run_lil_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """Per-replicate normalized maximal deviations R_n·sup|Chat - Ebar|.
 
@@ -305,19 +297,17 @@ def run_lil_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """
     if config.B < 100:
         raise ValueError("lil check requires B >= 100 (mean-surface proxy accuracy)")
-    workers = _resolve_workers(workers)
     rows = []
-    for i, theta in enumerate(config.thetas):
-        for j, n in enumerate(config.ns):
-            _, grids = _replicate_grid_stack(config, theta, i, n, j, workers)
-            mean_surface = grids.mean(axis=0)
-            stats = rn(n) * np.max(np.abs(grids - mean_surface), axis=(1, 2))
-            rows.append(
-                DeviationRow(
-                    theta=float(theta), n=int(n), B=config.B,
-                    statistics=tuple(float(s) for s in stats),
-                )
+    for i, j, stacks in _cells(config, workers, _grid_chunk):
+        grids = np.concatenate(stacks, axis=0)
+        n = config.ns[j]
+        stats = rn(n) * np.max(np.abs(grids - grids.mean(axis=0)), axis=(1, 2))
+        rows.append(
+            DeviationRow(
+                theta=config.thetas[i], n=n, B=config.B,
+                statistics=tuple(float(s) for s in stats),
             )
+        )
     return DeviationReport(mode="lil", rows=tuple(rows))
 
 
@@ -329,15 +319,12 @@ def run_bias_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """
     if config.B < 1000:
         raise ValueError("bias check requires B >= 1000 (mean-surface proxy accuracy)")
-    workers = _resolve_workers(workers)
+    knots = interior_grid(config.grid_resolution)
+    truths = [frank_cdf(theta, knots[:, None], knots[None, :]) for theta in config.thetas]
     rows = []
-    for i, theta in enumerate(config.thetas):
-        for j, n in enumerate(config.ns):
-            knots, grids = _replicate_grid_stack(config, theta, i, n, j, workers)
-            mean_surface = grids.mean(axis=0)
-            truth = frank_cdf(theta, knots[:, None], knots[None, :])
-            stat = rn(n) * float(np.max(np.abs(mean_surface - truth)))
-            rows.append(
-                DeviationRow(theta=float(theta), n=int(n), B=config.B, statistics=(stat,))
-            )
+    for i, j, stacks in _cells(config, workers, _grid_chunk):
+        mean_surface = np.concatenate(stacks, axis=0).mean(axis=0)
+        stat = rn(config.ns[j]) * float(np.max(np.abs(mean_surface - truths[i])))
+        rows.append(DeviationRow(theta=config.thetas[i], n=config.ns[j], B=config.B,
+                                 statistics=(stat,)))
     return DeviationReport(mode="bias", rows=tuple(rows))

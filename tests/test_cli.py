@@ -105,6 +105,16 @@ def test_estimate_unwritable_out_names_the_path(frank_xy, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_unwritable_manifest_leaves_no_csv(frank_xy, tmp_path, capsys):
+    data = frank_xy(n=30)
+    out = tmp_path / "x.csv"
+    manifest = tmp_path / "x.csv.manifest.json"
+    manifest.mkdir()
+    assert main(["estimate", str(data), "--grid", "3", "--out", str(out)]) == EXIT_USAGE
+    assert f"error: {manifest}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
     data = frank_xy(n=30)
     out = tmp_path / "est.csv"

@@ -55,6 +55,13 @@ def test_config_validation():
         _small_config(bandwidth=math.inf)
     with pytest.raises(ValueError):
         _small_config(band_specs=())
+    # counts are integers: truncating 3.9 to 3 would share seed 3's streams
+    for field, value in (("ns", (50.9,)), ("B", 100.7), ("seed", 3.9), ("grid_resolution", 5.5)):
+        with pytest.raises(ValueError, match=f"^{field} must be given as integers"):
+            _small_config(**{field: value})
+    cfg = _small_config(ns=(np.int64(16),), B=np.int32(8), seed=np.uint64(3), grid_resolution=5)
+    assert (cfg.ns, cfg.B, cfg.seed) == ((16,), 8, 3)
+    assert all(type(v) is int for v in (*cfg.ns, cfg.B, cfg.seed, cfg.grid_resolution))
 
 
 def test_config_bandwidth_rules():
@@ -136,9 +143,9 @@ def test_coverage_deterministic_and_worker_independent():
     assert serial == parallel
 
 
-def test_coverage_tabulates_once_per_cell(monkeypatch):
-    # one rank table per (theta, n) cell, one lookup per replicate, and no
-    # estimate_grid call in the replicate loop
+def test_coverage_tabulates_once_per_n(monkeypatch):
+    # one rank table per n (shared by every theta), one lookup per
+    # replicate, and no estimate_grid call in the replicate loop
     calls = {"rank_table": 0, "rank_estimate": 0, "estimate_grid": 0}
 
     def counting(name):
@@ -155,7 +162,24 @@ def test_coverage_tabulates_once_per_cell(monkeypatch):
     cfg = _small_config(thetas=(1.0, -2.0))
     run_coverage(cfg, workers=1)
     cells = len(cfg.thetas) * len(cfg.ns)
-    assert calls == {"rank_table": cells, "rank_estimate": cfg.B * cells, "estimate_grid": 0}
+    assert calls == {"rank_table": len(cfg.ns), "rank_estimate": cfg.B * cells, "estimate_grid": 0}
+
+
+@pytest.mark.parametrize(
+    "run, B", [(run_coverage, 64), (run_lil_check, 100), (run_bias_check, 1000)]
+)
+def test_one_pool_per_run(monkeypatch, run, B):
+    # a 2 x 2-cell run with two workers dispatches every cell through one pool
+    pools = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    run(_small_config(thetas=(1.0, -2.0), ns=(16, 24), B=B, grid_resolution=5), workers=2)
+    assert len(pools) == 1
 
 
 def test_estimate_grid_is_the_estimators():
@@ -234,6 +258,11 @@ def test_bias_check_single_statistic_and_b_guard():
         assert row.statistics[0] >= 0.0
     with pytest.raises(ValueError):
         run_bias_check(_small_config(B=999))
+
+
+def test_bias_check_deterministic_across_workers():
+    cfg = _small_config(thetas=(1.0, -2.0), ns=(16, 24), B=1000, grid_resolution=5)
+    assert run_bias_check(cfg, workers=1) == run_bias_check(cfg, workers=2)
 
 
 def test_chunk_constant_is_frozen():
