@@ -22,6 +22,7 @@ half-width at every knot.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,7 +75,7 @@ class BandSpec:
 
 def rn(n: int) -> float:
     """Iterated-logarithm normalization R_n = sqrt(n / (2 log log n))."""
-    n = int(n)
+    n = operator.index(n)
     if n < 16:
         raise ValueError(
             "n >= 16 required: R_n = sqrt(n / (2 log log n)) needs log log n safely positive"
@@ -91,13 +92,13 @@ def half_width(spec: BandSpec, n: int, sigma2=None):
         return (1.0 + spec.epsilon) * spec.A / rn(n)
     if sigma2 is None:
         raise ValueError("normal bands require the variance surface sigma2")
-    if int(n) < 1:
+    if operator.index(n) < 1:
         raise ValueError("n must be positive")
     sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(sigma2 < 0.0):
-        raise NumericError("negative sigma2 value: variance surface is invalid")
+    if not np.all(sigma2 >= 0.0):
+        raise NumericError("negative or NaN sigma2 value: variance surface is invalid")
     z = normal_quantile(0.5 * (1.0 + spec.confidence))
-    return z * np.sqrt(sigma2 / float(n))
+    return z * np.sqrt(sigma2 / n)
 
 
 def covers(estimates, half_width, truth) -> np.ndarray:

@@ -105,8 +105,9 @@ def _read_xy(path: str) -> PairedSample:
                 pair.append(value)
             xs.append(pair[0])
             ys.append(pair[1])
-    if len(xs) < 2:
-        raise CliError(f"{path}: need at least 2 data rows, found {len(xs)}")
+    if len(xs) < 16:
+        raise CliError(f"{path}: need at least 16 data rows, found {len(xs)} "
+                       "(the normalization R_n = sqrt(n / (2 log log n)) requires n >= 16)")
     return PairedSample(np.array(xs), np.array(ys))
 
 
@@ -210,19 +211,12 @@ def _grid_lines(header: str, knots, *surfaces) -> list:
 
 def _cmd_estimate(args):
     sample = _read_xy(args.input)
-    if sample.n < 16:
-        raise CliError(f"{args.input}: need at least 16 data rows, found {sample.n}")
     knots, grid, parameters = _estimate(args, sample)
     return _grid_lines("u,v,estimate", knots, grid), parameters, None
 
 
 def _cmd_bands(args):
     sample = _read_xy(args.input)
-    if sample.n < 16:
-        raise CliError(
-            f"{args.input}: n = {sample.n} is too small for bands: the half-width "
-            "normalization R_n = sqrt(n / (2 log log n)) requires n >= 16"
-        )
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
         raise CliError("--method normal requires --theta (variance is evaluated at the true parameter)")

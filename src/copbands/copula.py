@@ -43,16 +43,20 @@ def _check_unit(name: str, values) -> np.ndarray:
     return arr
 
 
-def _check_args(theta, u, v, v_name: str = "v"):
-    """(theta, u, v, scalar): theta as a finite float, and u and v checked to
-    lie in [0, 1], broadcast and made at least 1-D; ``scalar`` tells whether
-    the broadcast inputs were 0-D.
+def _gate(core, theta, u, v, v_name: str = "v"):
+    """``core(theta, u, v)`` on a finite float theta and on u and v checked to lie
+    in [0, 1], broadcast and made at least 1-D; floats back for 0-D inputs.
     """
     th = float(theta)
     if not math.isfinite(th):
         raise ValueError("theta must be a finite real number")
     ua, va = np.broadcast_arrays(_check_unit("u", u), _check_unit(v_name, v))
-    return th, np.atleast_1d(ua), np.atleast_1d(va), ua.ndim == 0
+    out = core(th, np.atleast_1d(ua), np.atleast_1d(va))
+    if ua.ndim:
+        return out
+    if isinstance(out, tuple):
+        return tuple(float(x[0]) for x in out)
+    return float(out[0])
 
 
 def frechet_lower(u, v):
@@ -135,11 +139,7 @@ def frank_cdf(theta, u, v):
     float or ndarray
         Copula values in [0, 1].
     """
-    th, ua, va, scalar = _check_args(theta, u, v)
-    out = _cdf(th, ua, va)
-    if scalar:
-        return float(out[0])
-    return out
+    return _gate(_cdf, theta, u, v)
 
 
 def _partials(th: float, ua: np.ndarray, va: np.ndarray):
@@ -184,11 +184,29 @@ def frank_partials(theta, u, v):
 
     Returns a pair of floats for scalar input, a pair of arrays otherwise.
     """
-    th, ua, va, scalar = _check_args(theta, u, v)
-    cu, cv = _partials(th, ua, va)
-    if scalar:
-        return float(cu[0]), float(cv[0])
-    return cu, cv
+    return _gate(_partials, theta, u, v)
+
+
+def _conditional_sample(th: float, ua: np.ndarray, wa: np.ndarray) -> np.ndarray:
+    if abs(th) > THETA_MAX:
+        raise ValueError(
+            f"|theta| = {abs(th):g} out of supported range (exp overflow beyond {THETA_MAX:g})"
+        )
+    if abs(th) < INDEPENDENCE_THRESHOLD:
+        return wa.astype(float).copy()
+    a = np.exp(-th * ua)
+    den = wa + a * (1.0 - wa)
+    z = wa * math.expm1(-th) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.log1p(z) / th
+        far = z <= -0.5
+        if np.any(far):
+            num = wa[far] * math.exp(-th) + a[far] * (1.0 - wa[far])
+            out[far] = (np.log(den[far]) - np.log(num)) / th
+    out[wa == 0.0] = 0.0
+    out[wa == 1.0] = 1.0
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
 def frank_conditional_sample(theta, u, w):
@@ -214,31 +232,23 @@ def frank_conditional_sample(theta, u, w):
     w : float or array_like
         Conditional probability level in [0, 1]; 0 and 1 map to exact 0/1.
     """
-    th, ua, wa, scalar = _check_args(theta, u, w, "w")
-    if abs(th) > THETA_MAX:
-        raise ValueError(
-            f"|theta| = {abs(th):g} out of supported range (exp overflow beyond {THETA_MAX:g})"
-        )
+    return _gate(_conditional_sample, theta, u, w, "w")
 
-    if abs(th) < INDEPENDENCE_THRESHOLD:
-        out = wa.astype(float).copy()
-    else:
-        a = np.exp(-th * ua)
-        den = wa + a * (1.0 - wa)
-        z = wa * math.expm1(-th) / den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -np.log1p(z) / th
-            far = z <= -0.5
-            if np.any(far):
-                num = wa[far] * math.exp(-th) + a[far] * (1.0 - wa[far])
-                out[far] = (np.log(den[far]) - np.log(num)) / th
-        out[wa == 0.0] = 0.0
-        out[wa == 1.0] = 1.0
-        np.clip(out, 0.0, 1.0, out=out)
 
-    if scalar:
-        return float(out[0])
-    return out
+def _sigma2(th: float, ua: np.ndarray, va: np.ndarray) -> np.ndarray:
+    c = _cdf(th, ua, va)
+    cu, cv = _partials(th, ua, va)
+    s2 = (
+        c * (1.0 - c)
+        - 2.0 * (1.0 - ua) * c * cu
+        - 2.0 * (1.0 - va) * c * cv
+        + ua * (1.0 - ua) * cu * cu
+        + va * (1.0 - va) * cv * cv
+        + 2.0 * cu * cv * (c - ua * va)
+    )
+    # nonnegative by construction; trim rounding residue near the boundary
+    np.maximum(s2, 0.0, out=s2)
+    return s2
 
 
 def frank_sigma2(theta, u, v):
@@ -253,20 +263,4 @@ def frank_sigma2(theta, u, v):
     Zero on the boundary of the unit square, where the indicators are
     degenerate. At independence this reduces to u(1-u)v(1-v).
     """
-    th, ua, va, scalar = _check_args(theta, u, v)
-    c = _cdf(th, ua, va)
-    cu, cv = _partials(th, ua, va)
-    s2 = (
-        c * (1.0 - c)
-        - 2.0 * (1.0 - ua) * c * cu
-        - 2.0 * (1.0 - va) * c * cv
-        + ua * (1.0 - ua) * cu * cu
-        + va * (1.0 - va) * cv * cv
-        + 2.0 * cu * cv * (c - ua * va)
-    )
-    # nonnegative by construction; trim rounding residue near the boundary
-    np.maximum(s2, 0.0, out=s2)
-
-    if scalar:
-        return float(s2[0])
-    return s2
+    return _gate(_sigma2, theta, u, v)

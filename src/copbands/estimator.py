@@ -22,6 +22,7 @@ tabulated once, and each sample's surface is a gather and a product.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,20 +74,21 @@ def _check_knots(knots) -> np.ndarray:
     return arr
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, each tie group given the mean of the ranks it spans."""
+def _doubled_ranks(x) -> np.ndarray:
+    """Twice the ranks 1..n as integers, each tie group given twice its mean rank."""
+    x = np.asarray(x, dtype=float)
     order = np.argsort(x)
     xs = x[order]
     # tie groups are the runs of equal sorted values
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    ranks = np.empty(xs.size)
+    m = np.empty(xs.size, dtype=np.intp)
     if starts.size == xs.size:
-        ranks[order] = np.arange(1.0, xs.size + 1)
+        m[order] = np.arange(2, 2 * xs.size + 1, 2)
     else:
         ends = np.append(starts[1:], xs.size)
-        # ranks starts+1 .. ends average to an exact half-integer
-        ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+        # ranks starts+1 .. ends have the mean (starts + 1 + ends) / 2
+        m[order] = np.repeat(starts + 1 + ends, ends - starts)
+    return m
 
 
 def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
@@ -114,9 +116,9 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     Returns the (|knots|, |knots|) surface, values[i, j] = Chat(knots[i], knots[j]).
     """
     knots = _check_knots(knots)
-    denom = sample.n + 1.0
-    ku = _factors(knots, _midranks(sample.xs) / denom, h)
-    kv = _factors(knots, _midranks(sample.ys) / denom, h)
+    denom = 2.0 * (sample.n + 1)
+    ku = _factors(knots, _doubled_ranks(sample.xs) / denom, h)
+    kv = _factors(knots, _doubled_ranks(sample.ys) / denom, h)
     return (ku @ kv.T) / sample.n
 
 
@@ -134,15 +136,15 @@ def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
-    """Kernel factors of every half-integer rank m/2 = 1, 1.5, ..., n.
+    """Kernel factors of every doubled rank m = 2, 3, ..., 2n (odd m: ties).
 
     Column m - 2 holds the factors of the pseudo-observation
-    m / (2(n + 1)), so for a sample of size n the factor tables of
-    :func:`estimate_grid` are column gathers of this (knots, 2n - 1)
-    table, mid-ranks of tied samples included. Build it once per
+    m / (2(n + 1)), the expression :func:`estimate_grid` evaluates for a
+    value of doubled rank m, so its factor tables for a sample of size n
+    are column gathers of this (knots, 2n - 1) table. Build it once per
     (n, h, knots) and pass it to :func:`rank_estimate`.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     points = np.arange(2, 2 * n + 1) / (2.0 * (n + 1))
@@ -153,22 +155,18 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     """Estimator surface of the raw sample (xs, ys) from a :func:`rank_table`.
 
     Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
-    the table's n, h and knots: twice a mid-rank is an integer m, and
-    m / (2(n + 1)) is the same double as mid-rank / (n + 1). The samples
-    are trusted to be finite.
+    the table's n, h and knots: a value of doubled rank m takes column
+    m - 2, the factors at the same m / (2(n + 1)) that ``estimate_grid``
+    evaluates. The samples are trusted to be finite.
     """
     n = (table.shape[1] + 1) // 2
     if np.shape(xs) != (n,) or np.shape(ys) != (n,):
         raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
     # np.take returns C-contiguous gathers, which keep the product's
     # summation order that of estimate_grid
-    ku = np.take(table, _rank_columns(xs), axis=1)
-    kv = np.take(table, _rank_columns(ys), axis=1)
+    ku = np.take(table, _doubled_ranks(xs) - 2, axis=1)
+    kv = np.take(table, _doubled_ranks(ys) - 2, axis=1)
     return (ku @ kv.T) / n
-
-
-def _rank_columns(x) -> np.ndarray:
-    return (2.0 * _midranks(np.asarray(x, dtype=float))).astype(np.intp) - 2
 
 
 def default_bandwidth(n: int) -> float:
@@ -178,7 +176,7 @@ def default_bandwidth(n: int) -> float:
     there from n = 5 up to roughly n = 5.5e3. At tiny n it exceeds
     n^(-1/4), and asymptotically it decays slower than n^(-1/4).
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 3:
         raise ValueError("n must be >= 3 (log log n is undefined or nonpositive below that)")
     return 1.0 / math.log(n)
@@ -190,7 +188,7 @@ def interior_grid(resolution: int = 33) -> np.ndarray:
     The default 33 knots per axis avoid the exact boundary, where
     pointwise normal-approximation bands degenerate to zero width.
     """
-    resolution = int(resolution)
+    resolution = operator.index(resolution)
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     return np.arange(1, resolution + 1, dtype=float) / (resolution + 1.0)

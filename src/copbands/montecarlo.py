@@ -56,8 +56,8 @@ __all__ = [
 
 WORKERS_ENV = "COPBANDS_WORKERS"
 
-# Fixed dispatch granularity. Chunk boundaries must not depend on the
-# worker count, or floating-point reductions would reorder.
+# Replicates per task. Reports do not depend on it: a replicate's stream depends
+# only on its key, counts add exactly and deviations reduce a cell's whole stack.
 REPLICATE_CHUNK = 64
 
 
@@ -108,6 +108,9 @@ class ExperimentConfig:
         specs = tuple(self.band_specs)
         if not specs or not all(isinstance(s, BandSpec) for s in specs):
             raise ValueError("band_specs must be a nonempty list of BandSpec")
+        for k, spec in enumerate(specs):  # report rows are keyed by method
+            if spec.method in [s.method for s in specs[:k]]:
+                raise ValueError(f"band_specs repeat the method '{spec.method.value}'")
         if self.bandwidth is not None:
             if not isinstance(self.bandwidth, numbers.Real) or not 0 < self.bandwidth < np.inf:
                 raise ValueError("bandwidth must be None or a finite positive number")

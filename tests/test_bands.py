@@ -130,6 +130,8 @@ def test_normal_bands_rejects_negative_variance():
     sigma2 = np.full((3, 3), -1e-9) + np.eye(3)
     with pytest.raises(NumericError):
         half_width(BandSpec(BandMethod.NORMAL), 50, sigma2)
+    with pytest.raises(NumericError):
+        half_width(BandSpec(BandMethod.NORMAL), 50, [[0.01, np.nan]])
     with pytest.raises(ValueError, match="sigma2"):
         half_width(BandSpec(BandMethod.NORMAL), 50)
 

@@ -241,6 +241,16 @@ def test_bands_normal_with_theta(frank_xy, tmp_path):
     assert manifest["parameters"]["theta"] == 1.0
 
 
+@pytest.mark.parametrize("command", ["estimate", "bands"])
+def test_few_rows_rejected_naming_file_floor_and_reason(frank_xy, tmp_path, capsys, command):
+    data = frank_xy(n=10)
+    out = tmp_path / "x.csv"
+    assert main([command, str(data), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(data) in err and "found 10" in err and "16" in err and "R_n" in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def test_bands_small_n_names_the_constraint(frank_xy, tmp_path, capsys):
     data = frank_xy(n=12)
     code = main(["bands", str(data), "--out", str(tmp_path / "b.csv")])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from copbands import estimator
+from copbands.bands import BandMethod, BandSpec, half_width, rn
 from copbands.estimator import (
     PairedSample,
     default_bandwidth,
@@ -30,7 +31,7 @@ def _frank_sample(theta, n, seed):
 
 def _pseudo(x):
     """Pseudo-observations rank/(n+1) of one margin, as the estimator takes them."""
-    return estimator._midranks(x) / (x.size + 1.0)
+    return estimator._doubled_ranks(x) / (2.0 * (x.size + 1))
 
 
 # ------------------------------------------------------------ PairedSample
@@ -297,6 +298,22 @@ def test_default_bandwidth_values():
 def test_default_bandwidth_rejects_tiny_n():
     with pytest.raises(ValueError):
         default_bandwidth(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [interior_grid, lambda n: rank_table(n, 0.3, interior_grid(5)), default_bandwidth, rn,
+     lambda n: half_width(BandSpec(BandMethod.LIL), n),
+     lambda n: half_width(BandSpec(BandMethod.NORMAL), n, np.ones((2, 2)))],
+    ids=["interior_grid", "rank_table", "default_bandwidth", "rn", "half_width-lil",
+         "half_width-normal"],
+)
+def test_sizes_must_be_integers(call):
+    # truncating 16.9 to 16 would silently answer for another sample size
+    for bad in (16.9, 16.0, np.float64(20.0)):
+        with pytest.raises(TypeError):
+            call(bad)
+    assert np.array_equal(call(np.int64(20)), call(20))
 
 
 # ------------------------------------------------------------ interior_grid

@@ -55,6 +55,9 @@ def test_config_validation():
         _small_config(bandwidth=math.inf)
     with pytest.raises(ValueError):
         _small_config(band_specs=())
+    # coverage rows are keyed by method, so a second "lil" row would be unreachable
+    with pytest.raises(ValueError, match="repeat the method 'lil'"):
+        _small_config(band_specs=(BandSpec(BandMethod.LIL), BandSpec(BandMethod.LIL, A=0.01)))
     # counts are integers: truncating 3.9 to 3 would share seed 3's streams
     for field, value in (("ns", (50.9,)), ("B", 100.7), ("seed", 3.9), ("grid_resolution", 5.5)):
         with pytest.raises(ValueError, match=f"^{field} must be given as integers"):
@@ -266,9 +269,17 @@ def test_bias_check_deterministic_across_workers():
 
 
 def test_chunk_constant_is_frozen():
-    # the reduction order (and therefore byte-identical output) depends on
-    # this constant; changing it silently breaks reproducibility claims
+    # reports do not depend on this constant (see the next test); it sets the
+    # per-task stack memory and dispatch overhead that the benchmark measures
     assert REPLICATE_CHUNK == 64
+
+
+def test_reports_do_not_depend_on_chunk_size(monkeypatch):
+    cfg = _small_config(thetas=(-2.0,), ns=(16,), B=1000, grid_resolution=5)
+    runs = (run_coverage, run_lil_check, run_bias_check)
+    reports = [run(cfg) for run in runs]
+    monkeypatch.setattr(montecarlo, "REPLICATE_CHUNK", 17)
+    assert [run(cfg) for run in runs] == reports
 
 
 def test_coverage_report_type():
