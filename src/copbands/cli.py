@@ -13,11 +13,12 @@ verify
     against the replicate mean; bias: normalized mean-vs-truth deviation).
 
 A subcommand checks its inputs and returns its CSV lines together with the
-parameters and seed that reproduce them; it writes no file. ``main`` writes
-the CSV at ``--out`` and a JSON manifest sidecar beside it
-(``<out>.manifest.json``). All numeric output uses shortest round-trip
-decimal formatting, and exit codes are 0 (success), 2 (usage or
-configuration error), 3 (numeric failure).
+parameters that reproduce them, the seed of an experiment among them; it
+writes no file. ``main`` writes the CSV at ``--out`` and a JSON manifest
+sidecar beside it (``<out>.manifest.json``). All numeric output uses
+shortest round-trip decimal formatting, and exit codes are 0 (success), 2
+(usage or configuration error, raised as ``ValueError``), 3 (numeric
+failure).
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ CONFIG_FIELDS = {
 }
 
 
-class CliError(Exception):
-    """Usage or configuration error; mapped to exit code 2."""
-
-
 def _fmt(x) -> str:
     """Shortest decimal string that parses back to the identical float."""
     return repr(float(x))
@@ -76,38 +73,38 @@ def _fmt(x) -> str:
 
 def _read_xy(path: str) -> PairedSample:
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # Excel writes a byte-order mark
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [cell.strip() for cell in header] != ["x", "y"]:
-            raise CliError(f"{path}:1: expected header 'x,y'")
+            raise ValueError(f"{path}:1: expected header 'x,y'")
         xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise CliError(f"{path}:{lineno}: expected 2 columns, found {len(row)}")
+                raise ValueError(f"{path}:{lineno}: expected 2 columns, found {len(row)}")
             pair = []
             for name, cell in zip(("x", "y"), row):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise CliError(
+                    raise ValueError(
                         f"{path}:{lineno}: non-numeric value {cell.strip()!r} in column {name}"
                     ) from None
                 if not math.isfinite(value):
-                    raise CliError(
+                    raise ValueError(
                         f"{path}:{lineno}: non-finite value {cell.strip()!r} in column {name}"
                     )
                 pair.append(value)
             xs.append(pair[0])
             ys.append(pair[1])
     if len(xs) < 16:
-        raise CliError(f"{path}: need at least 16 data rows, found {len(xs)} "
-                       "(the normalization R_n = sqrt(n / (2 log log n)) requires n >= 16)")
+        raise ValueError(f"{path}: need at least 16 data rows, found {len(xs)} "
+                         "(the normalization R_n = sqrt(n / (2 log log n)) requires n >= 16)")
     return PairedSample(np.array(xs), np.array(ys))
 
 
@@ -115,13 +112,13 @@ def _parse_scalar(path, lineno, key, raw, kind):
     try:
         return kind(raw)
     except ValueError:
-        raise CliError(f"{path}:{lineno}: invalid value {raw!r} for key '{key}'") from None
+        raise ValueError(f"{path}:{lineno}: invalid value {raw!r} for key '{key}'") from None
 
 
 def _parse_list(path, lineno, key, raw, kind):
     items = [token.strip() for token in raw.split(",") if token.strip()]
     if not items:
-        raise CliError(f"{path}:{lineno}: key '{key}' needs at least one value")
+        raise ValueError(f"{path}:{lineno}: key '{key}' needs at least one value")
     return tuple(_parse_scalar(path, lineno, key, token, kind) for token in items)
 
 
@@ -130,7 +127,7 @@ def _parse_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 
     entries = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -141,18 +138,18 @@ def _parse_config(path: str) -> dict:
         key = key.strip()
         value = value.strip()
         if not sep or not key or not value:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key in entries:
-            raise CliError(f"{path}:{lineno}: duplicate key '{key}'")
+            raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
         entries[key] = (lineno, value)
 
     unknown = sorted(set(entries) - set(CONFIG_FIELDS))
     if unknown:
-        raise CliError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     missing = [key for key, field in CONFIG_FIELDS.items()
                if field[2] is _REQUIRED and key not in entries]
     if missing:
-        raise CliError(f"{path}: missing required config keys: {', '.join(missing)}")
+        raise ValueError(f"{path}: missing required config keys: {', '.join(missing)}")
 
     cfg = {}
     for key, (kind, many, default) in CONFIG_FIELDS.items():
@@ -164,14 +161,14 @@ def _parse_config(path: str) -> dict:
         if key == "methods":
             for method in cfg[key]:
                 if method not in METHODS:
-                    raise CliError(f"{path}:{lineno}: unknown method '{method}' "
-                                   f"(use {' or '.join(METHODS)})")
+                    raise ValueError(f"{path}:{lineno}: unknown method '{method}' "
+                                     f"(use {' or '.join(METHODS)})")
             if len(set(cfg[key])) != len(cfg[key]):
-                raise CliError(f"{path}:{lineno}: duplicate method in 'methods'")
+                raise ValueError(f"{path}:{lineno}: duplicate method in 'methods'")
     return cfg
 
 
-def _write_result(args, lines, parameters: dict, seed, started: float) -> None:
+def _write_result(args, lines, parameters: dict, started: float) -> None:
     """Write the CSV at ``args.out`` and its manifest beside it."""
     path = args.out
     try:
@@ -179,7 +176,7 @@ def _write_result(args, lines, parameters: dict, seed, started: float) -> None:
         manifest = {
             "subcommand": args.command,
             "parameters": parameters,
-            "seed": seed,
+            "seed": parameters.get("seed"),
             "version": __version__,
             "duration_seconds": round(time.monotonic() - started, 6),
         }
@@ -189,7 +186,7 @@ def _write_result(args, lines, parameters: dict, seed, started: float) -> None:
     except OSError as exc:
         if path != args.out:  # no CSV without the manifest that reproduces it
             Path(args.out).unlink(missing_ok=True)
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _estimate(args, sample: PairedSample):
@@ -212,16 +209,16 @@ def _grid_lines(header: str, knots, *surfaces) -> list:
 def _cmd_estimate(args):
     sample = _read_xy(args.input)
     knots, grid, parameters = _estimate(args, sample)
-    return _grid_lines("u,v,estimate", knots, grid), parameters, None
+    return _grid_lines("u,v,estimate", knots, grid), parameters
 
 
 def _cmd_bands(args):
     sample = _read_xy(args.input)
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
-        raise CliError("--method normal requires --theta (variance is evaluated at the true parameter)")
+        raise ValueError("--method normal requires --theta (variance is evaluated at the true parameter)")
     if args.theta is not None and not math.isfinite(args.theta):
-        raise CliError("theta must be a finite real number")
+        raise ValueError("theta must be a finite real number")
     spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
     knots, center, parameters = _estimate(args, sample)
 
@@ -238,7 +235,7 @@ def _cmd_bands(args):
 
     parameters.update(method=method.value, A=args.A, epsilon=args.epsilon,
                       confidence=args.confidence, theta=args.theta, clamp=clamp)
-    return _grid_lines("u,v,lower,center,upper", knots, lower, center, upper), parameters, None
+    return _grid_lines("u,v,lower,center,upper", knots, lower, center, upper), parameters
 
 
 def _load_experiment(args):
@@ -276,7 +273,7 @@ def _cmd_simulate_coverage(args):
             f"{row.method},{_fmt(row.theta)},{row.n},{_fmt(row.coverage)},"
             f"{_fmt(row.mc_stderr)},{row.B},{row.seed}"
         )
-    return lines, parameters, parameters["seed"]
+    return lines, parameters
 
 
 def _cmd_verify(args):
@@ -297,7 +294,7 @@ def _cmd_verify(args):
         verdict = "bound satisfied" if satisfied else "bound exceeded"
     else:
         if len(config.ns) < 2:
-            raise CliError(f"{args.config}: bias decay needs at least two sample sizes in 'ns'")
+            raise ValueError(f"{args.config}: bias decay needs at least two sample sizes in 'ns'")
         report = run_bias_check(config)
         lines = ["mode,theta,n,B,statistic"]
         decay = True
@@ -309,7 +306,7 @@ def _cmd_verify(args):
             lines.append(f"bias,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.statistics[0])}")
         verdict = "decay observed" if decay else "decay not observed"
     lines.append(f"# verdict: {verdict}")
-    return lines, parameters, parameters["seed"]
+    return lines, parameters
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,16 +316,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    estimate = sub.add_parser("estimate", help="estimate a copula surface from x,y data")
-    estimate.add_argument("input", help="CSV file with header x,y")
-    estimate.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution,
-                          help="interior grid resolution per axis")
-    estimate.add_argument("--bandwidth", type=float, default=None, help="override h (default 1/log n)")
-    estimate.add_argument("--out", required=True, help="output CSV path")
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("input", help="CSV file with header x,y")
+    sample.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution,
+                        help="interior grid resolution per axis")
+    sample.add_argument("--bandwidth", type=float, default=None, help="override h (default 1/log n)")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True, help="flat key = value config file")
+    experiment.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for shared in (sample, experiment):
+        shared.add_argument("--out", required=True, help="output CSV path")
+
+    estimate = sub.add_parser("estimate", parents=[sample],
+                              help="estimate a copula surface from x,y data")
     estimate.set_defaults(func=_cmd_estimate)
 
-    bands = sub.add_parser("bands", help="estimate plus confidence band surfaces")
-    bands.add_argument("input", help="CSV file with header x,y")
+    bands = sub.add_parser("bands", parents=[sample], help="estimate plus confidence band surfaces")
     bands.add_argument("--method", choices=METHODS, default=BandMethod.LIL.value)
     bands.add_argument("--A", type=float, default=BandSpec.A, help="LIL half-width constant")
     bands.add_argument("--epsilon", type=float, default=BandSpec.epsilon,
@@ -337,23 +340,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="normal-method confidence")
     bands.add_argument("--theta", type=float, default=None,
                        help="true Frank parameter for the normal-method variance")
-    bands.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution)
-    bands.add_argument("--bandwidth", type=float, default=None)
     bands.add_argument("--no-clamp", action="store_true", help="do not truncate bands to [0, 1]")
-    bands.add_argument("--out", required=True)
     bands.set_defaults(func=_cmd_bands)
 
-    coverage = sub.add_parser("simulate-coverage", help="Monte Carlo coverage table")
-    coverage.add_argument("--config", required=True, help="flat key = value config file")
-    coverage.add_argument("--seed", type=int, default=None, help="override the config seed")
-    coverage.add_argument("--out", required=True)
+    coverage = sub.add_parser("simulate-coverage", parents=[experiment],
+                              help="Monte Carlo coverage table")
     coverage.set_defaults(func=_cmd_simulate_coverage)
 
-    verify = sub.add_parser("verify", help="deviation-statistic experiments")
+    verify = sub.add_parser("verify", parents=[experiment], help="deviation-statistic experiments")
     verify.add_argument("mode", choices=["lil", "bias"])
-    verify.add_argument("--config", required=True)
-    verify.add_argument("--seed", type=int, default=None, help="override the config seed")
-    verify.add_argument("--out", required=True)
     verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -364,11 +359,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        lines, parameters, seed = args.func(args)
-        _write_result(args, lines, parameters, seed, started)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        lines, parameters = args.func(args)
+        _write_result(args, lines, parameters, started)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -20,8 +20,9 @@ dispatched in fixed-size chunks, and reductions run in submission order.
 Reports are therefore bit-identical for any worker count under a fixed
 BLAS thread count; above n = 512 the BLAS thread count moves the last
 bits of the estimate's matrix product. The worker count defaults to the
-``COPBANDS_WORKERS`` environment variable (1 if unset); a single worker
-runs in-process with no pool, more workers share one process pool per run.
+``COPBANDS_WORKERS`` environment variable, an integer >= 1 (1 if unset); a
+single worker runs in-process with no pool, more workers share one process
+pool per run, of at most one process per task.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ class ExperimentConfig:
             raise ValueError("B must be >= 1 and <= 2**32 (32-bit stream-key field)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64) (64-bit stream-key field)")
-        if self.grid_resolution < 2:
-            raise ValueError("grid resolution must be >= 2")
+        interior_grid(self.grid_resolution)  # rejects a resolution below 2
         specs = tuple(self.band_specs)
         if not specs or not all(isinstance(s, BandSpec) for s in specs):
             raise ValueError("band_specs must be a nonempty list of BandSpec")
@@ -227,10 +227,15 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=None):
 
     One rank table per n and one task per (theta, n, chunk), extended by the
     tuple ``extras[theta_idx][n_idx]`` if given. ``chunk_fn`` maps over all
-    tasks at once: lazily in process for one worker or one task, else
-    through a single process pool.
+    tasks at once: lazily in process for one worker, else through a single
+    process pool of at most one worker per task.
     """
-    workers = int(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, not {raw!r}")
+        workers = int(raw)
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     knots = interior_grid(config.grid_resolution)
@@ -240,7 +245,8 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=None):
     cells = [(i, j) for i in range(len(config.thetas)) for j in range(len(config.ns))]
     tasks = [(config.seed, config.thetas[i], i, config.ns[j], j, r0, r1, tables[j],
               *(extras[i][j] if extras else ())) for i, j in cells for r0, r1 in chunks]
-    serial = workers == 1 or len(tasks) <= 1
+    workers = min(workers, len(tasks))  # a pool forks all its workers up front
+    serial = workers == 1
     with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
         results = map(chunk_fn, tasks) if serial else pool.map(chunk_fn, tasks)
         for i, j in cells:

@@ -76,6 +76,18 @@ def test_estimate_rejects_bad_header(tmp_path, capsys):
     assert "expected header 'x,y'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "bands"])
+def test_byte_order_mark_is_ignored(frank_xy, tmp_path, command):
+    # spreadsheet programs save CSV as UTF-8 with a leading byte-order mark
+    plain = frank_xy(n=30)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = [tmp_path / "plain-out.csv", tmp_path / "marked-out.csv"]
+    for data, out in zip((plain, marked), outs):
+        assert main([command, str(data), "--grid", "5", "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_estimate_reports_bad_cell_location(tmp_path, capsys):
     rows = ["x,y"] + [f"{i}.0,{i}.5" for i in range(20)]
     rows[3] = "2.0,oops"
@@ -141,6 +153,57 @@ def test_invalid_grid_or_bandwidth_exits_2(frank_xy, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+COMMANDS = {
+    "estimate": cli._cmd_estimate,
+    "bands": cli._cmd_bands,
+    "simulate-coverage": cli._cmd_simulate_coverage,
+    "verify": cli._cmd_verify,
+}
+SAMPLE_DEFAULTS = {"input": "d.csv", "grid": 33, "bandwidth": None, "out": "o.csv"}
+BAND_DEFAULTS = {"method": "lil", "A": 0.5, "epsilon": 0.0, "confidence": 0.99, "theta": None,
+                 "no_clamp": False}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["estimate", "d.csv", "--out", "o.csv"], SAMPLE_DEFAULTS),
+        (["estimate", "d.csv", "--grid", "5", "--bandwidth", "0.25", "--out", "o.csv"],
+         {**SAMPLE_DEFAULTS, "grid": 5, "bandwidth": 0.25}),
+        (["bands", "d.csv", "--out", "o.csv"], {**SAMPLE_DEFAULTS, **BAND_DEFAULTS}),
+        (["bands", "d.csv", "--grid", "5", "--bandwidth", "0.25", "--method", "normal",
+          "--A", "1", "--epsilon", "0.5", "--confidence", "0.9", "--theta", "2", "--no-clamp",
+          "--out", "o.csv"],
+         {**SAMPLE_DEFAULTS, "grid": 5, "bandwidth": 0.25, "method": "normal", "A": 1.0,
+          "epsilon": 0.5, "confidence": 0.9, "theta": 2.0, "no_clamp": True}),
+        (["simulate-coverage", "--config", "e.cfg", "--out", "o.csv"],
+         {"config": "e.cfg", "seed": None, "out": "o.csv"}),
+        (["verify", "bias", "--config", "e.cfg", "--seed", "3", "--out", "o.csv"],
+         {"mode": "bias", "config": "e.cfg", "seed": 3, "out": "o.csv"}),
+    ],
+    ids=["estimate", "estimate-set", "bands", "bands-set", "simulate-coverage", "verify"],
+)
+def test_subcommand_options_dests_and_defaults(argv, expected):
+    args = vars(cli._build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0]
+    assert args.pop("func") is COMMANDS[argv[0]]
+    assert args == expected
+    assert all(type(args[key]) is type(value) for key, value in expected.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "d.csv"], ["bands", "d.csv"], ["simulate-coverage", "--config", "e.cfg"],
+     ["verify", "lil", "--config", "e.cfg"], ["verify", "lil", "--out", "o.csv"],
+     ["simulate-coverage", "--out", "o.csv"], ["estimate", "--out", "o.csv"]],
+)
+def test_required_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "the following arguments are required" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,6 +1,7 @@
 """Replication engine: determinism, chunked parallelism, experiment runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from copbands import montecarlo
 from copbands.copula import THETA_MAX
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
+    WORKERS_ENV,
     CoverageReport,
     ExperimentConfig,
     run_bias_check,
@@ -183,6 +185,65 @@ def test_one_pool_per_run(monkeypatch, run, B):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
     run(_small_config(thetas=(1.0, -2.0), ns=(16, 24), B=B, grid_resolution=5), workers=2)
     assert len(pools) == 1
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_pool_has_at_most_one_worker_per_task(recording_pool, monkeypatch):
+    # under fork a pool starts all its workers at once, so a two-task run
+    # asking for 16 workers must get 2
+    cfg = _small_config(ns=(16,), B=2 * REPLICATE_CHUNK, grid_resolution=5)
+    serial = run_coverage(cfg, workers=1)
+    assert recording_pool.sizes == []
+    assert run_coverage(cfg, workers=16) == serial
+    assert run_coverage(cfg, workers=np.int64(2)) == serial
+    monkeypatch.setenv(WORKERS_ENV, "16")
+    assert run_coverage(cfg) == serial
+    assert recording_pool.sizes == [2, 2, 2]
+    run_coverage(_small_config(ns=(16,), B=REPLICATE_CHUNK, grid_resolution=5))  # one task
+    assert recording_pool.sizes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("raw", ["1.5", "0", "-1", "+2", "", " ", "two"])
+def test_worker_variable_must_be_a_positive_integer(recording_pool, monkeypatch, raw):
+    monkeypatch.setenv(WORKERS_ENV, raw)
+    message = f"{WORKERS_ENV} must be an integer >= 1, not {raw!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_coverage(_small_config(B=8, grid_resolution=5))
+    assert recording_pool.sizes == []
+
+
+def test_worker_argument_must_be_a_positive_integer(recording_pool):
+    cfg = _small_config(B=8, grid_resolution=5)
+    with pytest.raises(TypeError):
+        run_coverage(cfg, workers=1.9)
+    with pytest.raises(ValueError, match="worker count must be >= 1"):
+        run_coverage(cfg, workers=0)
+    assert recording_pool.sizes == []
 
 
 def test_estimate_grid_is_the_estimators():
