@@ -125,7 +125,7 @@ def _parse_list(path, lineno, key, raw, kind):
 def _parse_config(path: str) -> dict:
     """Parse the flat ``key = value`` experiment configuration file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # Notepad writes a byte-order mark
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 

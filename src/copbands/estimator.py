@@ -13,10 +13,10 @@ the transformed scale avoids boundary bias, and the extended-real conventions
 (q(0) = -inf, q(1) = +inf, K(-inf) = 0, K(+inf) = 1) make the copula
 boundary values exact.
 
-``estimate_grid`` ranks a sample and evaluates one surface.
-``rank_table`` and ``rank_estimate`` split the same arithmetic for many
-samples of one size: the kernel factors of every possible rank are
-tabulated once, and each sample's surface is a gather and a product.
+``estimate_grid`` ranks a sample and evaluates one surface; ``rank_table``
+and ``rank_estimate`` split the same arithmetic for many samples of one
+size, tabulating the kernel factors of every possible rank once. Both sum
+over observations in blocks of 512, so memory is O(|knots|·512) for any n.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
     "default_bandwidth",
     "interior_grid",
 ]
+
+_BLOCK = 512  # a (33, 512) @ (512, 33) product stays on one BLAS thread; 1024 columns do not
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,8 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     Ties get mid-ranks, which keeps the estimator total on arbitrary
     numeric data; with continuous margins each pseudo-observation
     coordinate is a permutation of {k/(n+1) : k = 1..n}. The surface is
-    invariant under strictly increasing maps of either margin.
-
-    The double sum separates per axis: one (knots, n) table of kernel
-    factors per coordinate, combined by a single matrix product, so the
-    cost is O(n·|knots|²) flops instead of a full kernel sum per grid node.
+    invariant under strictly increasing maps of either margin. It costs
+    O(n·|knots|²) flops and O(|knots|·512) memory for any n.
 
     Parameters
     ----------
@@ -117,9 +116,7 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     """
     knots = _check_knots(knots)
     denom = 2.0 * (sample.n + 1)
-    ku = _factors(knots, _doubled_ranks(sample.xs) / denom, h)
-    kv = _factors(knots, _doubled_ranks(sample.ys) / denom, h)
-    return (ku @ kv.T) / sample.n
+    return _mean_product(lambda m: _factors(knots, m / denom, h), sample.xs, sample.ys)
 
 
 def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
@@ -133,6 +130,23 @@ def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     return epanechnikov_cdf(
         (normal_quantile(knots)[:, None] - normal_quantile(points)[None, :]) / h
     )
+
+
+def _mean_product(factors, xs, ys) -> np.ndarray:
+    """(1/n) sum_i factors(m_i) factors(m'_i)^T, m and m' the doubled ranks of xs, ys.
+
+    The estimator's double sum separates per axis. ``factors`` maps doubled
+    ranks m to the (knots, len(m)) factors of m / (2(n + 1)); estimate_grid
+    evaluates them and rank_estimate gathers column m - 2 of a rank table,
+    so the two agree bit for bit. Blocks of _BLOCK observations are added in
+    order, so memory is O(|knots|·_BLOCK) and, at 33 knots, the bits do not
+    depend on the BLAS thread count.
+    """
+    mx, my = _doubled_ranks(xs), _doubled_ranks(ys)
+    total = 0.0
+    for b in range(0, mx.size, _BLOCK):
+        total += factors(mx[b:b + _BLOCK]) @ factors(my[b:b + _BLOCK]).T
+    return total / mx.size
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
@@ -155,18 +169,12 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     """Estimator surface of the raw sample (xs, ys) from a :func:`rank_table`.
 
     Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
-    the table's n, h and knots: a value of doubled rank m takes column
-    m - 2, the factors at the same m / (2(n + 1)) that ``estimate_grid``
-    evaluates. The samples are trusted to be finite.
+    the table's n, h and knots. The samples are trusted to be finite.
     """
     n = (table.shape[1] + 1) // 2
     if np.shape(xs) != (n,) or np.shape(ys) != (n,):
         raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
-    # np.take returns C-contiguous gathers, which keep the product's
-    # summation order that of estimate_grid
-    ku = np.take(table, _doubled_ranks(xs) - 2, axis=1)
-    kv = np.take(table, _doubled_ranks(ys) - 2, axis=1)
-    return (ku @ kv.T) / n
+    return _mean_product(lambda m: np.take(table, m - 2, axis=1), xs, ys)
 
 
 def default_bandwidth(n: int) -> float:

@@ -17,9 +17,11 @@ concatenate one cell's chunk stacks at a time.
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
-Reports are therefore bit-identical for any worker count under a fixed
-BLAS thread count; above n = 512 the BLAS thread count moves the last
-bits of the estimate's matrix product. The worker count defaults to the
+Reports are therefore bit-identical for any worker count and, at the
+default 33-knot grid, for any BLAS thread count: the estimate sums its
+matrix products over blocks of 512 observations, each small enough to
+stay on one BLAS thread. The BLAS build and the CPU kernel it selects can
+still move the last bits. The worker count defaults to the
 ``COPBANDS_WORKERS`` environment variable, an integer >= 1 (1 if unset); a
 single worker runs in-process with no pool, more workers share one process
 pool per run, of at most one process per task.
@@ -88,7 +90,10 @@ class ExperimentConfig:
             except TypeError:
                 raise ValueError(f"{name} must be given as integers, not {value!r}") from None
             object.__setattr__(self, name, value)
-        thetas = tuple(float(t) for t in self.thetas)
+        thetas = tuple(self.thetas)
+        if not all(isinstance(t, numbers.Real) for t in thetas):
+            raise ValueError(f"thetas must be real numbers, not {thetas!r}")
+        thetas = tuple(map(float, thetas))
         if not thetas or not all(np.isfinite(thetas)):
             raise ValueError("thetas must be a nonempty list of finite reals")
         if any(abs(t) > THETA_MAX for t in thetas):

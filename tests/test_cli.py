@@ -463,6 +463,17 @@ def test_config_comments_and_auto_bandwidth(tmp_path):
     assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
+def test_config_byte_order_mark_is_ignored(tmp_path):
+    # the mark must not read as part of the first key ("unknown config keys: \ufeffthetas")
+    plain = _config(tmp_path)
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+    for cfg, out in zip((plain, marked), outs):
+        assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 # ------------------------------------------------------------------ verify
 
 

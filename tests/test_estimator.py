@@ -1,6 +1,7 @@
 """Mid-ranks, kernel copula estimator, rank table, bandwidth schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_estimate_grid_rejects_bad_inputs():
 # ------------------------------------------------------------- rank table
 
 
-@pytest.mark.parametrize("n", [16, 50, 500, 2000])
+@pytest.mark.parametrize("n", [16, 50, 500, 513, 2000])  # 513: one 512-row block and one row
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("boundary", [False, True])
 def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
@@ -263,6 +264,19 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
     looked_up = rank_estimate(rank_table(n, h, knots), xs, ys)
     direct = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.array_equal(looked_up, direct)
+
+
+def test_estimate_grid_memory_does_not_grow_with_n():
+    # whole (33, n) factor tables peaked at 127 MiB in this test; 512-row blocks need 5
+    rng = np.random.default_rng(0)
+    sample = PairedSample(rng.random(100_000), rng.random(100_000))
+    tracemalloc.start()
+    try:
+        estimate_grid(sample, 0.1, interior_grid(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_rank_table_shape_and_rejects_bad_inputs():

@@ -1,7 +1,11 @@
 """Replication engine: determinism, chunked parallelism, experiment runs."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,10 @@ def test_config_validation():
     for field, value in (("ns", (50.9,)), ("B", 100.7), ("seed", 3.9), ("grid_resolution", 5.5)):
         with pytest.raises(ValueError, match=f"^{field} must be given as integers"):
             _small_config(**{field: value})
+    # "1" is no theta, as "1" is no bandwidth
+    for thetas in (("1",), (1.0, "2"), (None,)):
+        with pytest.raises(ValueError, match="^thetas must be real numbers"):
+            _small_config(thetas=thetas)
     cfg = _small_config(ns=(np.int64(16),), B=np.int32(8), seed=np.uint64(3), grid_resolution=5)
     assert (cfg.ns, cfg.B, cfg.seed) == ((16,), 8, 3)
     assert all(type(v) is int for v in (*cfg.ns, cfg.B, cfg.seed, cfg.grid_resolution))
@@ -327,6 +335,25 @@ def test_bias_check_single_statistic_and_b_guard():
 def test_bias_check_deterministic_across_workers():
     cfg = _small_config(thetas=(1.0, -2.0), ns=(16, 24), B=1000, grid_resolution=5)
     assert run_bias_check(cfg, workers=1) == run_bias_check(cfg, workers=2)
+
+
+def test_lil_check_does_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at import; a single (33, 2000) @ (2000, 33)
+    # product runs on two threads and sums in another order than on one
+    code = (
+        "from copbands.montecarlo import ExperimentConfig, run_lil_check\n"
+        "cfg = ExperimentConfig(thetas=(5.0,), ns=(2000,), B=100, seed=0)\n"
+        "print(repr(run_lil_check(cfg, workers=1)))\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_chunk_constant_is_frozen():
