@@ -93,6 +93,20 @@ def _doubled_ranks(x) -> np.ndarray:
     return m
 
 
+def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
+    """``_doubled_ranks`` of each row of the 2-D array x, one argsort for all rows.
+
+    A row with ties is ranked again by ``_doubled_ranks`` itself.
+    """
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    m = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(m, order, np.arange(2, 2 * x.shape[1] + 1, 2)[None, :], axis=1)
+    for k in np.flatnonzero(np.any(xs[:, 1:] == xs[:, :-1], axis=1)):
+        m[k] = _doubled_ranks(x[k])
+    return m
+
+
 def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     """Estimate of ``sample`` on the product grid knots x knots.
 
@@ -116,7 +130,8 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     """
     knots = _check_knots(knots)
     denom = 2.0 * (sample.n + 1)
-    return _mean_product(lambda m: _factors(knots, m / denom, h), sample.xs, sample.ys)
+    return _mean_product(lambda m: _factors(knots, m / denom, h),
+                         _doubled_ranks(sample.xs), _doubled_ranks(sample.ys))
 
 
 def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
@@ -132,17 +147,16 @@ def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     )
 
 
-def _mean_product(factors, xs, ys) -> np.ndarray:
-    """(1/n) sum_i factors(m_i) factors(m'_i)^T, m and m' the doubled ranks of xs, ys.
+def _mean_product(factors, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i factors(mx_i) factors(my_i)^T over doubled ranks mx, my of two margins.
 
     The estimator's double sum separates per axis. ``factors`` maps doubled
     ranks m to the (knots, len(m)) factors of m / (2(n + 1)); estimate_grid
-    evaluates them and rank_estimate gathers column m - 2 of a rank table,
+    evaluates them and _table_product gathers column m - 2 of a rank table,
     so the two agree bit for bit. Blocks of _BLOCK observations are added in
     order, so memory is O(|knots|·_BLOCK) and, at 33 knots, the bits do not
     depend on the BLAS thread count.
     """
-    mx, my = _doubled_ranks(xs), _doubled_ranks(ys)
     total = 0.0
     for b in range(0, mx.size, _BLOCK):
         total += factors(mx[b:b + _BLOCK]) @ factors(my[b:b + _BLOCK]).T
@@ -174,7 +188,12 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     n = (table.shape[1] + 1) // 2
     if np.shape(xs) != (n,) or np.shape(ys) != (n,):
         raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
-    return _mean_product(lambda m: np.take(table, m - 2, axis=1), xs, ys)
+    return _table_product(table, _doubled_ranks(xs), _doubled_ranks(ys))
+
+
+def _table_product(table: np.ndarray, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
+    """Estimator surface of doubled ranks mx, my, gathered from a :func:`rank_table`."""
+    return _mean_product(lambda m: np.take(table, m - 2, axis=1), mx, my)
 
 
 def default_bandwidth(n: int) -> float:

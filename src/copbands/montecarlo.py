@@ -11,8 +11,12 @@ Three experiments over Frank-copula ground truth:
 
 Each is a fold over one cell pipeline: one rank table per n (it does not
 depend on theta), one task per (theta, n, chunk) in that order, and one
-map over all tasks. Coverage workers return counts; the deviation checks
-concatenate one cell's chunk stacks at a time.
+map over all tasks. A task is a chunk of up to ``REPLICATE_CHUNK``
+replicates and runs each layer once for the whole chunk: one Philox
+generator re-keyed per replicate, one Frank sampler call and one rank pass
+over (replicates, n) arrays; only the rank-table gathers and the blocked
+product run per replicate. Coverage workers return counts; the deviation
+checks concatenate one cell's chunk stacks at a time.
 
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
@@ -41,7 +45,8 @@ import numpy as np
 
 from .bands import BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
+from .estimator import _doubled_rank_rows, _table_product
+from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
 __all__ = [
@@ -90,9 +95,9 @@ class ExperimentConfig:
             except TypeError:
                 raise ValueError(f"{name} must be given as integers, not {value!r}") from None
             object.__setattr__(self, name, value)
-        thetas = tuple(self.thetas)
-        if not all(isinstance(t, numbers.Real) for t in thetas):
-            raise ValueError(f"thetas must be real numbers, not {thetas!r}")
+        thetas = tuple(self.thetas) if np.iterable(self.thetas) else None
+        if thetas is None or not all(isinstance(t, numbers.Real) for t in thetas):
+            raise ValueError(f"thetas must be real numbers, not {self.thetas!r}")
         thetas = tuple(map(float, thetas))
         if not thetas or not all(np.isfinite(thetas)):
             raise ValueError("thetas must be a nonempty list of finite reals")
@@ -207,16 +212,46 @@ def _replicate_rng(seed: int, theta_idx: int, n_idx: int, r: int) -> np.random.G
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, theta_idx, n_idx, r)))
 
 
+def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int):
+    """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one Philox.
+
+    Row k holds what ``_replicate_rng(seed, theta_idx, n_idx, r0 + k)``
+    draws first and second: a Philox stream is a pure function of its key
+    and counter, so resetting the state to a new key, a zero counter and an
+    empty buffer starts that replicate's stream without a new generator.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    u = np.empty((r1 - r0, n))
+    w = np.empty((r1 - r0, n))
+    for k, r in enumerate(range(r0, r1)):
+        key = _stream_key(seed, theta_idx, n_idx, r)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.random(out=u[k])
+        rng.random(out=w[k])
+    return u, w
+
+
 def _grid_chunk(args):
-    """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table."""
+    """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
+
+    Draws, the Frank sampler and the ranks run once over the whole chunk;
+    each replicate then gathers its rank-table columns and adds its blocks
+    as ``rank_estimate`` does, so its surface has the same bits.
+    """
     (seed, theta, theta_idx, n, n_idx, r0, r1, table) = args
+    u, w = _keyed_draws(seed, theta_idx, n_idx, r0, r1, n)
+    mx = _doubled_rank_rows(u)
+    my = _doubled_rank_rows(frank_conditional_sample(theta, u, w))
     out = np.empty((r1 - r0, table.shape[0], table.shape[0]))
-    for offset, r in enumerate(range(r0, r1)):
-        rng = _replicate_rng(seed, theta_idx, n_idx, r)
-        u = rng.random(n)
-        w = rng.random(n)
-        v = frank_conditional_sample(theta, u, w)
-        out[offset] = rank_estimate(table, u, v)
+    for k in range(r1 - r0):
+        out[k] = _table_product(table, mx[k], my[k])
     return out
 
 

@@ -80,6 +80,26 @@ def test_pseudo_sample_matches_scipy_average_ranks():
         np.testing.assert_array_equal(_pseudo(ys), rankdata(ys, method="average") / (n + 1.0))
 
 
+def test_rank_rows_fall_back_on_ties():
+    # replicate draws are untied, so only a constructed matrix reaches the
+    # per-row fallback: untied rows, tied rows and an all-equal row
+    rng = np.random.default_rng(5)
+    n = 40
+    rows = [
+        rng.normal(size=n),
+        rng.integers(0, 6, size=n).astype(float),
+        np.full(n, 0.5),
+        rng.permutation(n).astype(float),
+        np.where(np.arange(n) < 3, 1.0, rng.random(n)),  # three tied minima
+        np.where(np.arange(n) % 2 == 0, rng.random(n), 2.0),  # half tied at the top
+    ]
+    x = np.array(rows)
+    m = estimator._doubled_rank_rows(x)
+    assert m.dtype == np.intp
+    for row, ranks in zip(x, m):
+        np.testing.assert_array_equal(ranks, estimator._doubled_ranks(row))
+
+
 # ------------------------------------------- one point of estimate_grid
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from copbands.bands import BandMethod, BandSpec
 from copbands import montecarlo
-from copbands.copula import THETA_MAX
+from copbands.copula import THETA_MAX, frank_conditional_sample
+from copbands.estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
     WORKERS_ENV,
@@ -68,8 +69,8 @@ def test_config_validation():
     for field, value in (("ns", (50.9,)), ("B", 100.7), ("seed", 3.9), ("grid_resolution", 5.5)):
         with pytest.raises(ValueError, match=f"^{field} must be given as integers"):
             _small_config(**{field: value})
-    # "1" is no theta, as "1" is no bandwidth
-    for thetas in (("1",), (1.0, "2"), (None,)):
+    # "1" is no theta, as "1" is no bandwidth, and a scalar is no list of them
+    for thetas in (("1",), (1.0, "2"), (None,), 5.0):
         with pytest.raises(ValueError, match="^thetas must be real numbers"):
             _small_config(thetas=thetas)
     cfg = _small_config(ns=(np.int64(16),), B=np.int32(8), seed=np.uint64(3), grid_resolution=5)
@@ -144,6 +145,31 @@ def test_replicate_streams_are_distinct():
     assert not np.allclose(a, c)
 
 
+def test_chunk_engine_matches_per_replicate_reference():
+    # one generator, one sampler call and one rank pass per chunk give each
+    # replicate the surface its own stream gives through rank_estimate
+    knots = interior_grid(33)
+    r0, r1 = REPLICATE_CHUNK + 3, 2 * REPLICATE_CHUNK
+    for j, n in enumerate((16, 50, 500, 513, 2000)):
+        table = rank_table(n, default_bandwidth(n), knots)
+        for i, theta in enumerate((-700.0, -2.0, 0.0, 1.0, 10.0, 700.0)):
+            stack = montecarlo._grid_chunk((2**53 + 7, theta, i, n, j, r0, r1, table))
+            reference = []
+            for r in range(r0, r1):
+                rng = _replicate_rng(2**53 + 7, i, j, r)
+                u = rng.random(n)
+                v = frank_conditional_sample(theta, u, rng.random(n))
+                reference.append(rank_estimate(table, u, v))
+            assert np.array_equal(stack, reference), (theta, n)
+    # the state reset keys every field at its widest value as the constructor does
+    top = (2**64 - 1, 2**16 - 1, 2**16 - 1)
+    u, w = montecarlo._keyed_draws(*top, 2**32 - 2, 2**32, 50)
+    for k, r in enumerate((2**32 - 2, 2**32 - 1)):
+        rng = _replicate_rng(*top, r)
+        assert np.array_equal(u[k], rng.random(50))
+        assert np.array_equal(w[k], rng.random(50))
+
+
 # ------------------------------------------------------------ run_coverage
 
 
@@ -157,9 +183,9 @@ def test_coverage_deterministic_and_worker_independent():
 
 
 def test_coverage_tabulates_once_per_n(monkeypatch):
-    # one rank table per n (shared by every theta), one lookup per
-    # replicate, and no estimate_grid call in the replicate loop
-    calls = {"rank_table": 0, "rank_estimate": 0, "estimate_grid": 0}
+    # one rank table per n (shared by every theta), one sampler call per
+    # replicate chunk, and no estimate_grid call in the replicate loop
+    calls = {"rank_table": 0, "frank_conditional_sample": 0, "estimate_grid": 0}
 
     def counting(name):
         original = getattr(montecarlo, name)
@@ -175,7 +201,10 @@ def test_coverage_tabulates_once_per_n(monkeypatch):
     cfg = _small_config(thetas=(1.0, -2.0))
     run_coverage(cfg, workers=1)
     cells = len(cfg.thetas) * len(cfg.ns)
-    assert calls == {"rank_table": len(cfg.ns), "rank_estimate": cfg.B * cells, "estimate_grid": 0}
+    chunks = math.ceil(cfg.B / REPLICATE_CHUNK)
+    assert chunks == 3
+    assert calls == {"rank_table": len(cfg.ns), "frank_conditional_sample": chunks * cells,
+                     "estimate_grid": 0}
 
 
 @pytest.mark.parametrize(
