@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,9 @@ EXIT_NUMERIC = 3
 LIL_BOUND = 3.0
 
 _REQUIRED = object()
+
+# estimate and bands need R_n = sqrt(n / (2 log log n)), defined from n = 16
+_MIN_ROWS = 16
 
 METHODS = [method.value for method in BandMethod]
 
@@ -71,40 +75,82 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _file_error(path, exc: OSError | UnicodeDecodeError) -> ValueError:
+    """Usage error naming a file that cannot be opened, read, decoded or written."""
+    if isinstance(exc, UnicodeDecodeError):
+        bad = exc.object[exc.start:exc.end]
+        return ValueError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})")
+    return ValueError(f"{path}: {exc.strerror or exc}")
+
+
+def _is_xy_header(row) -> bool:
+    return row is not None and [cell.strip() for cell in row] == ["x", "y"]
+
+
 def _read_xy(path: str) -> PairedSample:
+    """Sample of the x,y CSV at ``path``: numpy's C tokenizer reads a clean
+    file, the per-line parser any other."""
+    return _load_xy(path) or _parse_xy(path)
+
+
+def _load_xy(path: str) -> PairedSample | None:
+    """The sample at ``path`` read by ``np.loadtxt``, or None.
+
+    None unless the header is ``x,y`` and loadtxt reads at least
+    _MIN_ROWS rows of two finite values. loadtxt parses a number with the
+    function float() calls, and refuses what float() alone accepts
+    (quotes, ``1_0``, non-ASCII digits) and lines of one cell, so the
+    values are those of :func:`_parse_xy` bit for bit.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # Excel writes a byte-order mark
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != ["x", "y"]:
-            raise ValueError(f"{path}:1: expected header 'x,y'")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, found {len(row)}")
-            pair = []
-            for name, cell in zip(("x", "y"), row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric value {cell.strip()!r} in column {name}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}:{lineno}: non-finite value {cell.strip()!r} in column {name}"
-                    )
-                pair.append(value)
-            xs.append(pair[0])
-            ys.append(pair[1])
-    if len(xs) < 16:
-        raise ValueError(f"{path}: need at least 16 data rows, found {len(xs)} "
-                         "(the normalization R_n = sqrt(n / (2 log log n)) requires n >= 16)")
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file warns "input contained no data"
+            if not _is_xy_header(next(csv.reader(fh), None)):
+                return None
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except Exception:  # whatever loadtxt refuses, the per-line parser judges and reports
+        return None
+    if table.shape[1] != 2 or len(table) < _MIN_ROWS or not np.isfinite(table).all():
+        return None
+    xs, ys = np.ascontiguousarray(table.T)
+    return PairedSample(xs, ys)
+
+
+def _parse_xy(path: str) -> PairedSample:
+    """Per-line reader of the CSV at ``path``: the reference for
+    :func:`_load_xy` and the source of every input error, each naming the
+    file and, where there is one, the line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
+            reader = csv.reader(fh)
+            if not _is_xy_header(next(reader, None)):
+                raise ValueError(f"{path}:1: expected header 'x,y'")
+            xs, ys = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 columns, found {len(row)}")
+                pair = []
+                for name, cell in zip(("x", "y"), row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: non-numeric value {cell.strip()!r} in column {name}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}:{lineno}: non-finite value {cell.strip()!r} in column {name}"
+                        )
+                    pair.append(value)
+                xs.append(pair[0])
+                ys.append(pair[1])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(path, exc) from exc
+    if len(xs) < _MIN_ROWS:
+        raise ValueError(f"{path}: need at least {_MIN_ROWS} data rows, found {len(xs)} "
+                         f"(the normalization R_n = sqrt(n / (2 log log n)) requires n >= {_MIN_ROWS})")
     return PairedSample(np.array(xs), np.array(ys))
 
 
@@ -126,8 +172,8 @@ def _parse_config(path: str) -> dict:
     """Parse the flat ``key = value`` experiment configuration file."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # Notepad writes a byte-order mark
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(path, exc) from exc
 
     entries = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -186,15 +232,14 @@ def _write_result(args, lines, parameters: dict, started: float) -> None:
     except OSError as exc:
         if path != args.out:  # no CSV without the manifest that reproduces it
             Path(args.out).unlink(missing_ok=True)
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+        raise _file_error(path, exc) from exc
 
 
-def _estimate(args, sample: PairedSample):
-    """Knots, estimate surface and manifest parameters for ``--grid`` and ``--bandwidth``."""
-    knots = interior_grid(args.grid)
+def _estimate(args, knots, sample: PairedSample):
+    """Estimate surface on ``knots`` and its manifest parameters."""
     h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
     parameters = {"input": args.input, "n": sample.n, "grid": args.grid, "bandwidth": h}
-    return knots, estimate_grid(sample, h, knots), parameters
+    return estimate_grid(sample, h, knots), parameters
 
 
 def _grid_lines(header: str, knots, *surfaces) -> list:
@@ -207,20 +252,22 @@ def _grid_lines(header: str, knots, *surfaces) -> list:
 
 
 def _cmd_estimate(args):
-    sample = _read_xy(args.input)
-    knots, grid, parameters = _estimate(args, sample)
+    knots = interior_grid(args.grid)  # options are checked before the file is read
+    grid, parameters = _estimate(args, knots, _read_xy(args.input))
     return _grid_lines("u,v,estimate", knots, grid), parameters
 
 
 def _cmd_bands(args):
-    sample = _read_xy(args.input)
+    # options are checked before the file is read
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
         raise ValueError("--method normal requires --theta (variance is evaluated at the true parameter)")
     if args.theta is not None and not math.isfinite(args.theta):
         raise ValueError("theta must be a finite real number")
     spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
-    knots, center, parameters = _estimate(args, sample)
+    knots = interior_grid(args.grid)
+    sample = _read_xy(args.input)
+    center, parameters = _estimate(args, knots, sample)
 
     sigma2 = None
     if method is BandMethod.NORMAL:

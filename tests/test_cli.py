@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, config parsing, exit codes, CSV."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import copbands
 import copbands.cli as cli
@@ -107,6 +111,30 @@ def test_estimate_rejects_non_finite_value(tmp_path, capsys):
 def test_estimate_missing_file(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "no.csv"), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
     assert "no.csv" in capsys.readouterr().err
+
+
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"x,y\n1,2\n\xff\xfe,3\n")
+    assert main(["estimate", str(data), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: not UTF-8 text") and "\\xff" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["estimate", "--grid", "1"], "grid resolution must be >= 2"),
+     (["bands", "--grid", "1"], "grid resolution must be >= 2"),
+     (["bands", "--confidence", "7"], "confidence must lie in (0, 1)"),
+     (["bands", "--method", "normal"], "--method normal requires --theta"),
+     (["bands", "--theta", "inf"], "theta must be a finite real number")],
+    ids=["estimate-grid", "bands-grid", "bands-confidence", "bands-normal-theta", "bands-theta-inf"],
+)
+def test_options_are_checked_before_the_file(tmp_path, capsys, argv, message):
+    missing = tmp_path / "no.csv"
+    assert main([argv[0], str(missing), *argv[1:], "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "no.csv" not in err
 
 
 def test_estimate_unwritable_out_names_the_path(frank_xy, tmp_path, capsys):
@@ -214,6 +242,112 @@ def test_import_leaves_scipy_stats_unloaded():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# -------------------------------------------------------------- CSV reader
+
+_ROWS = ["-0.0,5e-324", "-5e-324,-0.0"] + [
+    f"{0.37 * i - 3.0!r},{(i * 7919 % 23) / 23.0!r}" for i in range(2, 20)]
+
+
+def _csv(rows, sep="\n", end="\n", head="x,y"):
+    return (sep.join([head, *rows]) + end).encode("utf-8")
+
+
+def _with(row, at=7):
+    return _csv(_ROWS[:at] + [row] + _ROWS[at:])
+
+
+def _big_rows():
+    rng = np.random.default_rng(3)
+    return [f"{a!r},{b!r}" for a, b in rng.normal(size=(50_321, 2)).tolist()]
+
+
+# (file bytes, whether the loadtxt fast path reads it)
+READER_CASES = {
+    "lf": (_csv(_ROWS), True),
+    "lf-no-final-newline": (_csv(_ROWS, end=""), True),
+    "crlf": (_csv(_ROWS, sep="\r\n", end="\r\n"), True),
+    "crlf-no-final-newline": (_csv(_ROWS, sep="\r\n", end=""), True),
+    "cr": (_csv(_ROWS, sep="\r", end="\r"), True),
+    "cr-no-final-newline": (_csv(_ROWS, sep="\r", end=""), True),
+    "byte-order-mark": (b"\xef\xbb\xbf" + _csv(_ROWS), True),
+    "blank-lines": (_csv(["", *_ROWS[:9], "", "", *_ROWS[9:], ""]), True),
+    "padded-cells": (_with(" 1.5 , 2 "), True),
+    "16-rows": (_csv(_ROWS[:16]), True),
+    "50k-rows": (_csv(_big_rows()), True),
+    "whitespace-line": (_with("  \t "), False),
+    "hash-line": (_with("# a comment"), False),
+    "quoted-cells": (_with('"1.5","2"'), False),
+    "underscore-digits": (_with("1_0,2"), False),
+    "arabic-indic-digit": (_with("١,2"), False),
+    "inf": (_with("inf,2"), False),
+    "nan": (_with("1,nan"), False),
+    "one-column": (_with("1.5"), False),
+    "one-column-file": (_csv([row.split(",")[0] for row in _ROWS]), False),
+    "three-columns": (_with("1,2,3"), False),
+    "trailing-comma": (_with("1,2,"), False),
+    "empty-cell": (_with("1,"), False),
+    "nul-byte": (_with("1\x00,2"), False),
+    "15-rows": (_csv(_ROWS[:15]), False),
+    "header-only": (_csv([]), False),
+    "bad-header": (_csv(_ROWS, head="x,z"), False),
+    "empty-file": (b"", False),
+}
+
+
+def _outcome(read, path):
+    """Digest of the bytes of xs and ys read from ``path``, or the error message."""
+    try:
+        sample = read(str(path))
+    except ValueError as exc:
+        return str(exc)
+    return hashlib.sha256(sample.xs.tobytes() + sample.ys.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_reader_matches_the_per_line_parser(tmp_path, name):
+    content, fast = READER_CASES[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read = _outcome(cli._read_xy, path)
+    assert read == _outcome(cli._parse_xy, path)
+    assert not caught  # e.g. loadtxt's "input contained no data"
+    assert (cli._load_xy(str(path)) is not None) is fast
+
+
+_FORMATS = {"repr": repr, "%.25e": lambda v: f"{v:.25e}", "padded": lambda v: f" \t{v!r}  "}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FINITE, min_size=1, max_size=8), st.sampled_from(sorted(_FORMATS)))
+@example(_EDGES, "repr")
+@example(_EDGES, "%.25e")
+@example(_EDGES, "padded")
+def test_fast_path_parses_finite_doubles_bit_for_bit(tmp_path_factory, values, form):
+    texts = [_FORMATS[form](v) for v in values]
+    xs, ys = (texts * 16)[:16], (texts[::-1] * 16)[:16]  # 16 rows, each value in both columns
+    path = tmp_path_factory.getbasetemp() / "finite-doubles.csv"
+    path.write_bytes(_csv([f"{a},{b}" for a, b in zip(xs, ys)]))
+    sample = cli._load_xy(str(path))
+    assert sample is not None
+    assert sample.xs.tobytes() == np.array([float(a) for a in xs]).tobytes()
+    assert sample.ys.tobytes() == np.array([float(b) for b in ys]).tobytes()
+
+
+def test_clean_file_takes_the_fast_path(frank_xy, tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("the per-line parser ran on a clean file")
+
+    data = frank_xy(n=40)
+    out = tmp_path / "e.csv"
+    monkeypatch.setattr(cli, "_parse_xy", refuse)
+    assert main(["estimate", str(data), "--grid", "5", "--out", str(out)]) == EXIT_OK
+    assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["parameters"]["n"] == 40
 
 
 # ------------------------------------------------------------------- bands
@@ -472,6 +606,15 @@ def test_config_byte_order_mark_is_ignored(tmp_path):
     for cfg, out in zip((plain, marked), outs):
         assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_non_utf8_config_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(_config(tmp_path).read_bytes() + b"# caf\xe9\n")
+    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text") and "\\xe9" in err
 
 
 # ------------------------------------------------------------------ verify
