@@ -37,7 +37,8 @@ import numpy as np
 from . import __version__
 from .bands import BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
-from .estimator import PairedSample, default_bandwidth, estimate_grid, interior_grid
+from .estimator import PairedSample, _check_bandwidth, default_bandwidth
+from .estimator import estimate_grid, interior_grid
 from .montecarlo import ExperimentConfig, run_bias_check, run_coverage, run_lil_check
 
 EXIT_OK = 0
@@ -126,7 +127,8 @@ def _parse_xy(path: str) -> PairedSample:
             if not _is_xy_header(next(reader, None)):
                 raise ValueError(f"{path}:1: expected header 'x,y'")
             xs, ys = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num  # physical line: a quoted cell may span lines
                 if not row:
                     continue
                 if len(row) != 2:
@@ -235,8 +237,14 @@ def _write_result(args, lines, parameters: dict, started: float) -> None:
         raise _file_error(path, exc) from exc
 
 
-def _estimate(args, knots, sample: PairedSample):
-    """Estimate surface on ``knots`` and its manifest parameters."""
+def _estimate(args, knots):
+    """Estimate surface of ``args.input`` on ``knots`` and its manifest parameters.
+
+    ``--bandwidth`` is checked before the file is read.
+    """
+    if args.bandwidth is not None:
+        _check_bandwidth(args.bandwidth)
+    sample = _read_xy(args.input)
     h = default_bandwidth(sample.n) if args.bandwidth is None else args.bandwidth
     parameters = {"input": args.input, "n": sample.n, "grid": args.grid, "bandwidth": h}
     return estimate_grid(sample, h, knots), parameters
@@ -253,7 +261,7 @@ def _grid_lines(header: str, knots, *surfaces) -> list:
 
 def _cmd_estimate(args):
     knots = interior_grid(args.grid)  # options are checked before the file is read
-    grid, parameters = _estimate(args, knots, _read_xy(args.input))
+    grid, parameters = _estimate(args, knots)
     return _grid_lines("u,v,estimate", knots, grid), parameters
 
 
@@ -266,13 +274,12 @@ def _cmd_bands(args):
         raise ValueError("theta must be a finite real number")
     spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
     knots = interior_grid(args.grid)
-    sample = _read_xy(args.input)
-    center, parameters = _estimate(args, knots, sample)
+    center, parameters = _estimate(args, knots)
 
     sigma2 = None
     if method is BandMethod.NORMAL:
         sigma2 = frank_sigma2(args.theta, knots[:, None], knots[None, :])
-    hw = half_width(spec, sample.n, sigma2)
+    hw = half_width(spec, parameters["n"], sigma2)
     lower = center - hw
     upper = center + hw
     clamp = not args.no_clamp

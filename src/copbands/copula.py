@@ -201,8 +201,8 @@ def _conditional_sample(th: float, ua: np.ndarray, wa: np.ndarray) -> np.ndarray
         out = -np.log1p(z) / th
         far = z <= -0.5
         if np.any(far):
-            num = wa[far] * math.exp(-th) + a[far] * (1.0 - wa[far])
-            out[far] = (np.log(den[far]) - np.log(num)) / th
+            num = wa * math.exp(-th) + a * (1.0 - wa)
+            np.copyto(out, (np.log(den) - np.log(num)) / th, where=far)
     out[wa == 0.0] = 0.0
     out[wa == 1.0] = 1.0
     np.clip(out, 0.0, 1.0, out=out)

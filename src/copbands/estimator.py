@@ -15,8 +15,10 @@ boundary values exact.
 
 ``estimate_grid`` ranks a sample and evaluates one surface; ``rank_table``
 and ``rank_estimate`` split the same arithmetic for many samples of one
-size, tabulating the kernel factors of every possible rank once. Both sum
-over observations in blocks of 512, so memory is O(|knots|·512) for any n.
+size, tabulating the kernel factors of every possible rank once. Factor
+tables are observation-major, one row per observation or rank, and both
+paths sum over observations in blocks of 512, so memory is O(|knots|·512)
+for any n.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ __all__ = [
     "interior_grid",
 ]
 
-_BLOCK = 512  # a (33, 512) @ (512, 33) product stays on one BLAS thread; 1024 columns do not
+# a (G, 512) @ (512, G) product stays on one BLAS thread at G = 33, 36 and 44
+# knots (tested), so the sum does not depend on the thread count; at 50 it does
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,22 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
                          _doubled_ranks(sample.xs), _doubled_ranks(sample.ys))
 
 
-def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """(knots, points) table of kernel factors K((q(t_g) - q(p_i)) / h).
+def _check_bandwidth(h) -> None:
+    """Reject a bandwidth that is not a positive finite number."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth h must be positive and finite")
 
+
+def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """(points, knots) table of kernel factors K((q(t_g) - q(p_i)) / h).
+
+    Observation-major, so a gather of observations copies whole rows.
     +/-inf quantiles of boundary knots hit the kernel's exact 0/1
     plateaus, never a nan.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError("bandwidth h must be positive and finite")
+    _check_bandwidth(h)
     return epanechnikov_cdf(
-        (normal_quantile(knots)[:, None] - normal_quantile(points)[None, :]) / h
+        (normal_quantile(knots)[None, :] - normal_quantile(points)[:, None]) / h
     )
 
 
@@ -151,25 +161,24 @@ def _mean_product(factors, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     """(1/n) sum_i factors(mx_i) factors(my_i)^T over doubled ranks mx, my of two margins.
 
     The estimator's double sum separates per axis. ``factors`` maps doubled
-    ranks m to the (knots, len(m)) factors of m / (2(n + 1)); estimate_grid
-    evaluates them and _table_product gathers column m - 2 of a rank table,
+    ranks m to the (len(m), knots) factors of m / (2(n + 1)); estimate_grid
+    evaluates them and _table_product gathers row m - 2 of a rank table,
     so the two agree bit for bit. Blocks of _BLOCK observations are added in
-    order, so memory is O(|knots|·_BLOCK) and, at 33 knots, the bits do not
-    depend on the BLAS thread count.
+    order, so memory is O(|knots|·_BLOCK) for any n.
     """
     total = 0.0
     for b in range(0, mx.size, _BLOCK):
-        total += factors(mx[b:b + _BLOCK]) @ factors(my[b:b + _BLOCK]).T
+        total += factors(mx[b:b + _BLOCK]).T @ factors(my[b:b + _BLOCK])
     return total / mx.size
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
     """Kernel factors of every doubled rank m = 2, 3, ..., 2n (odd m: ties).
 
-    Column m - 2 holds the factors of the pseudo-observation
+    Row m - 2 holds the factors of the pseudo-observation
     m / (2(n + 1)), the expression :func:`estimate_grid` evaluates for a
     value of doubled rank m, so its factor tables for a sample of size n
-    are column gathers of this (knots, 2n - 1) table. Build it once per
+    are row gathers of this (2n - 1, knots) table. Build it once per
     (n, h, knots) and pass it to :func:`rank_estimate`.
     """
     n = operator.index(n)
@@ -185,7 +194,7 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
     the table's n, h and knots. The samples are trusted to be finite.
     """
-    n = (table.shape[1] + 1) // 2
+    n = (table.shape[0] + 1) // 2
     if np.shape(xs) != (n,) or np.shape(ys) != (n,):
         raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
     return _table_product(table, _doubled_ranks(xs), _doubled_ranks(ys))
@@ -193,7 +202,7 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
 
 def _table_product(table: np.ndarray, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     """Estimator surface of doubled ranks mx, my, gathered from a :func:`rank_table`."""
-    return _mean_product(lambda m: np.take(table, m - 2, axis=1), mx, my)
+    return _mean_product(lambda m: table[m - 2], mx, my)
 
 
 def default_bandwidth(n: int) -> float:

@@ -21,11 +21,11 @@ checks concatenate one cell's chunk stacks at a time.
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
-Reports are therefore bit-identical for any worker count and, at the
-default 33-knot grid, for any BLAS thread count: the estimate sums its
-matrix products over blocks of 512 observations, each small enough to
-stay on one BLAS thread. The BLAS build and the CPU kernel it selects can
-still move the last bits. The worker count defaults to the
+Reports are therefore bit-identical for any worker count and, on grids of
+33 (the default), 36 and 44 knots, for any BLAS thread count: the estimate
+sums its matrix products over blocks of 512 observations, each small
+enough there to stay on one BLAS thread. The BLAS build and the CPU kernel
+it selects can still move the last bits. The worker count defaults to the
 ``COPBANDS_WORKERS`` environment variable, an integer >= 1 (1 if unset); a
 single worker runs in-process with no pool, more workers share one process
 pool per run, of at most one process per task.
@@ -242,14 +242,14 @@ def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
 
     Draws, the Frank sampler and the ranks run once over the whole chunk;
-    each replicate then gathers its rank-table columns and adds its blocks
+    each replicate then gathers its rank-table rows and adds its blocks
     as ``rank_estimate`` does, so its surface has the same bits.
     """
     (seed, theta, theta_idx, n, n_idx, r0, r1, table) = args
     u, w = _keyed_draws(seed, theta_idx, n_idx, r0, r1, n)
     mx = _doubled_rank_rows(u)
     my = _doubled_rank_rows(frank_conditional_sample(theta, u, w))
-    out = np.empty((r1 - r0, table.shape[0], table.shape[0]))
+    out = np.empty((r1 - r0, table.shape[1], table.shape[1]))
     for k in range(r1 - r0):
         out[k] = _table_product(table, mx[k], my[k])
     return out

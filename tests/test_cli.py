@@ -127,8 +127,11 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys):
      (["bands", "--grid", "1"], "grid resolution must be >= 2"),
      (["bands", "--confidence", "7"], "confidence must lie in (0, 1)"),
      (["bands", "--method", "normal"], "--method normal requires --theta"),
-     (["bands", "--theta", "inf"], "theta must be a finite real number")],
-    ids=["estimate-grid", "bands-grid", "bands-confidence", "bands-normal-theta", "bands-theta-inf"],
+     (["bands", "--theta", "inf"], "theta must be a finite real number"),
+     (["estimate", "--bandwidth", "0"], "bandwidth h must be positive and finite"),
+     (["bands", "--bandwidth", "nan"], "bandwidth h must be positive and finite")],
+    ids=["estimate-grid", "bands-grid", "bands-confidence", "bands-normal-theta", "bands-theta-inf",
+         "estimate-bandwidth", "bands-bandwidth"],
 )
 def test_options_are_checked_before_the_file(tmp_path, capsys, argv, message):
     missing = tmp_path / "no.csv"
@@ -289,6 +292,7 @@ READER_CASES = {
     "trailing-comma": (_with("1,2,"), False),
     "empty-cell": (_with("1,"), False),
     "nul-byte": (_with("1\x00,2"), False),
+    "quoted-newline": (b'x,y\n"1\n",2\n3,oops\n', False),
     "15-rows": (_csv(_ROWS[:15]), False),
     "header-only": (_csv([]), False),
     "bad-header": (_csv(_ROWS, head="x,z"), False),
@@ -316,6 +320,13 @@ def test_reader_matches_the_per_line_parser(tmp_path, name):
     assert read == _outcome(cli._parse_xy, path)
     assert not caught  # e.g. loadtxt's "input contained no data"
     assert (cli._load_xy(str(path)) is not None) is fast
+
+
+def test_reader_errors_name_the_physical_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(READER_CASES["quoted-newline"][0])  # a quoted cell spans lines 2 and 3
+    with pytest.raises(ValueError, match=":4: non-numeric value 'oops' in column y"):
+        cli._read_xy(str(path))
 
 
 _FORMATS = {"repr": repr, "%.25e": lambda v: f"{v:.25e}", "padded": lambda v: f" \t{v!r}  "}

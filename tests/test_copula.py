@@ -1,5 +1,7 @@
 """Frank copula: CDF, partial derivatives, sampler, asymptotic variance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,44 @@ def test_sigma2_matches_influence_linearization_variance():
 def test_sigma2_scalar_type():
     out = frank_sigma2(2.0, 0.4, 0.6)
     assert isinstance(out, float) and out > 0.0
+
+
+def _boolean_gather_sample(th, u, w):
+    """The conditional sampler with its far branch gathered and scattered by
+    boolean masks: the reference for the masked write of ``copula``."""
+    if abs(th) < INDEPENDENCE_THRESHOLD:
+        return w.copy()
+    a = np.exp(-th * u)
+    den = w + a * (1.0 - w)
+    z = w * math.expm1(-th) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.log1p(z) / th
+        far = z <= -0.5
+        if np.any(far):
+            num = w[far] * math.exp(-th) + a[far] * (1.0 - w[far])
+            out[far] = (np.log(den[far]) - np.log(num)) / th
+    out[w == 0.0] = 0.0
+    out[w == 1.0] = 1.0
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from([-THETA_MAX, -10.0, -2.0, 1e-9, 0.5, 1.0, 5.0, 10.0, 35.0, 100.0,
+                               THETA_MAX]),
+              st.floats(-THETA_MAX, THETA_MAX)),
+    st.sampled_from([16, 50, 500, 2000]),
+    st.integers(0, 2**32 - 1),
+)
+def test_conditional_sample_equals_boolean_gather_reference(theta, n, seed):
+    rng = np.random.default_rng(seed)
+    u, w = rng.random(n), rng.random(n)
+    ends = np.array([0.0, 1.0])
+    u[:4], w[:4] = np.repeat(ends, 2), np.tile(ends, 2)  # each pair of endpoints
+    u[4:6] = ends  # with an interior w
+    w[6:8] = ends  # with an interior u
+    assert np.array_equal(frank_conditional_sample(theta, u, w), _boolean_gather_sample(theta, u, w))
 
 
 # ------------------------------------------------------ contract properties

@@ -1,7 +1,11 @@
 """Mid-ranks, kernel copula estimator, rank table, bandwidth schedule."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,8 +303,35 @@ def test_estimate_grid_memory_does_not_grow_with_n():
     assert peak < 16 * 2**20
 
 
+def test_estimate_grid_does_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at import. With 512-row blocks of
+    # observation-major factors, these grids stay on one BLAS thread; at 50
+    # knots the product is split across threads and the last bits move.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from copbands.estimator import PairedSample, default_bandwidth, estimate_grid, interior_grid\n"
+        "for n in (513, 2000):\n"
+        "    rng = np.random.default_rng(n)\n"
+        "    sample = PairedSample(rng.random(n), rng.random(n))\n"
+        "    for g in (33, 36, 44):\n"
+        "        grid = estimate_grid(sample, default_bandwidth(n), interior_grid(g))\n"
+        "        print(n, g, hashlib.sha256(grid.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6
+
+
 def test_rank_table_shape_and_rejects_bad_inputs():
-    assert rank_table(20, 0.3, interior_grid(5)).shape == (5, 39)
+    assert rank_table(20, 0.3, interior_grid(5)).shape == (39, 5)
     for h in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="bandwidth"):
             rank_table(20, h, interior_grid(5))
