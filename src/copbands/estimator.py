@@ -40,9 +40,12 @@ __all__ = [
     "interior_grid",
 ]
 
-# a (G, 512) @ (512, G) product stays on one BLAS thread at G = 33, 36 and 44
-# knots (tested), so the sum does not depend on the thread count; at 50 it does
+# Observations per block of the estimator sum. Each block's (G, G) product is
+# built from (33, 512) @ (512, 33) tiles, which stay on one BLAS thread, so
+# the sum does not depend on the thread count at any G (checked from 2 to 99
+# knots); a single (G, 512) @ (512, G) call splits across threads from G = 45.
 _BLOCK = 512
+_TILE = 33
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,22 @@ def _doubled_ranks(x) -> np.ndarray:
     return m
 
 
+def _argsort_rows(x: np.ndarray):
+    """Argsort of each row of the 2-D array x and the indices of the rows with ties."""
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    return order, np.flatnonzero(np.any(xs[:, 1:] == xs[:, :-1], axis=1))
+
+
 def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
     """``_doubled_ranks`` of each row of the 2-D array x, one argsort for all rows.
 
     A row with ties is ranked again by ``_doubled_ranks`` itself.
     """
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
+    order, tied = _argsort_rows(x)
     m = np.empty(x.shape, dtype=np.intp)
     np.put_along_axis(m, order, np.arange(2, 2 * x.shape[1] + 1, 2)[None, :], axis=1)
-    for k in np.flatnonzero(np.any(xs[:, 1:] == xs[:, :-1], axis=1)):
+    for k in tied:
         m[k] = _doubled_ranks(x[k])
     return m
 
@@ -166,10 +175,25 @@ def _mean_product(factors, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     so the two agree bit for bit. Blocks of _BLOCK observations are added in
     order, so memory is O(|knots|·_BLOCK) for any n.
     """
+    blocks = (slice(b, b + _BLOCK) for b in range(0, mx.size, _BLOCK))
+    return _block_sum((factors(mx[s]), factors(my[s])) for s in blocks) / mx.size
+
+
+def _block_sum(blocks) -> np.ndarray:
+    """Sum of fx^T fy over (fx, fy) pairs of (rows, G) tables, added in order from 0.0.
+
+    Each product is filled from tiles of at most _TILE knots per side; up to
+    _TILE knots it is a single call.
+    """
     total = 0.0
-    for b in range(0, mx.size, _BLOCK):
-        total += factors(mx[b:b + _BLOCK]).T @ factors(my[b:b + _BLOCK])
-    return total / mx.size
+    for fx, fy in blocks:
+        g = fx.shape[1]
+        product = np.empty((g, g))
+        for i in range(0, g, _TILE):
+            for j in range(0, g, _TILE):
+                product[i:i + _TILE, j:j + _TILE] = fx[:, i:i + _TILE].T @ fy[:, j:j + _TILE]
+        total += product
+    return total
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:

@@ -12,23 +12,27 @@ Three experiments over Frank-copula ground truth:
 Each is a fold over one cell pipeline: one rank table per n (it does not
 depend on theta), one task per (theta, n, chunk) in that order, and one
 map over all tasks. A task is a chunk of up to ``REPLICATE_CHUNK``
-replicates and runs each layer once for the whole chunk: one Philox
-generator re-keyed per replicate, one Frank sampler call and one rank pass
-over (replicates, n) arrays; only the rank-table gathers and the blocked
-product run per replicate. Coverage workers return counts; the deviation
-checks concatenate one cell's chunk stacks at a time.
+replicates and runs each layer once per row block of about ``_ROW_BLOCK``
+draws: one Philox generator re-keyed per replicate, one Frank sampler call
+and one rank pass over (replicates, n) arrays. Coverage and the lil check
+then gather rank-table rows and run the blocked product per replicate;
+coverage workers return counts, and the lil check concatenates one cell's
+chunk stacks at a time. The bias check forms no surface per replicate:
+its workers return each replicate's rank-table rows, and the parent folds
+them into one (n, G) table per cell and one product (``_bias_mean``).
 
 Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
-Reports are therefore bit-identical for any worker count and, on grids of
-33 (the default), 36 and 44 knots, for any BLAS thread count: the estimate
-sums its matrix products over blocks of 512 observations, each small
-enough there to stay on one BLAS thread. The BLAS build and the CPU kernel
-it selects can still move the last bits. The worker count defaults to the
-``COPBANDS_WORKERS`` environment variable, an integer >= 1 (1 if unset); a
-single worker runs in-process with no pool, more workers share one process
-pool per run, of at most one process per task.
+Reports are therefore bit-identical for any worker count and any BLAS
+thread count, on every grid (checked from 2 to 99 knots): the estimate
+sums its matrix products over blocks of 512 observations and builds each
+from tiles of at most 33 knots, small enough to stay on one BLAS thread.
+The BLAS build and the CPU kernel it selects can still move the last bits.
+The worker count defaults to the ``COPBANDS_WORKERS`` environment variable,
+an integer >= 1 (1 if unset); a single worker runs in-process with no pool,
+more workers share one process pool per run, of at most one process per
+task.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ import numpy as np
 
 from .bands import BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import _doubled_rank_rows, _table_product
+from .estimator import _BLOCK, _argsort_rows, _block_sum, _doubled_rank_rows, _doubled_ranks
+from .estimator import _table_product
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -65,8 +70,14 @@ __all__ = [
 WORKERS_ENV = "COPBANDS_WORKERS"
 
 # Replicates per task. Reports do not depend on it: a replicate's stream depends
-# only on its key, counts add exactly and deviations reduce a cell's whole stack.
+# only on its key, counts add exactly, the lil check reduces a cell's whole stack
+# and the bias fold adds replicates in order.
 REPLICATE_CHUNK = 64
+
+# Draws per row block of a chunk: the draws, the sampler and the rank pass run
+# block by block while their arrays stay in cache (8 rows at n = 2000, a whole
+# chunk at n = 50). Every layer works row by row, so no value depends on it.
+_ROW_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -238,21 +249,78 @@ def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int
     return u, w
 
 
+def _ranked_blocks(args, rank_x):
+    """Yield ``(u, rank_x(u), doubled ranks of v)`` per row block of replicates r0..r1-1.
+
+    ``args`` starts with the stream fields (seed, theta, theta_idx, n, n_idx,
+    r0, r1). Each block of about ``_ROW_BLOCK`` draws runs one keyed draw,
+    one Frank sampler call and one rank pass over its rows.
+    """
+    (seed, theta, theta_idx, n, n_idx, r0, r1) = args[:7]
+    rows = max(1, _ROW_BLOCK // n)
+    for b in range(r0, r1, rows):
+        u, w = _keyed_draws(seed, theta_idx, n_idx, b, min(b + rows, r1), n)
+        yield u, rank_x(u), _doubled_rank_rows(frank_conditional_sample(theta, u, w))
+
+
 def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
 
-    Draws, the Frank sampler and the ranks run once over the whole chunk;
-    each replicate then gathers its rank-table rows and adds its blocks
-    as ``rank_estimate`` does, so its surface has the same bits.
+    Draws, the Frank sampler and the ranks run once per row block; each
+    replicate then gathers its rank-table rows and adds its blocks as
+    ``rank_estimate`` does, so its surface has the same bits.
     """
-    (seed, theta, theta_idx, n, n_idx, r0, r1, table) = args
-    u, w = _keyed_draws(seed, theta_idx, n_idx, r0, r1, n)
-    mx = _doubled_rank_rows(u)
-    my = _doubled_rank_rows(frank_conditional_sample(theta, u, w))
-    out = np.empty((r1 - r0, table.shape[1], table.shape[1]))
-    for k in range(r1 - r0):
-        out[k] = _table_product(table, mx[k], my[k])
-    return out
+    table = args[7]
+    return np.array([_table_product(table, mx_r, my_r)
+                     for _, mx, my in _ranked_blocks(args, _doubled_rank_rows)
+                     for mx_r, my_r in zip(mx, my)])
+
+
+def _bias_chunk(args):
+    """Rank-table rows that replicates r0..r1-1 add to the bias fold, one pair each.
+
+    A replicate gives ``(None, ys)``: ys[k] is the row of the y factors of
+    its observation of x-rank k + 1, whose x factors are row 2k. A replicate
+    with tied u gives the x and y rows of its observations instead.
+    """
+    rows = []
+    for u, (order, tied), my in _ranked_blocks(args, _argsort_rows):
+        ys = np.take_along_axis(my, order, axis=1) - 2
+        tied = set(tied.tolist())
+        rows += [(_doubled_ranks(u[k]) - 2, my[k] - 2) if k in tied else (None, ys[k])
+                 for k in range(len(u))]
+    return rows
+
+
+def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
+    """Mean estimate surface of B replicates from their ``_bias_chunk`` rows.
+
+    The estimator is bilinear, Chat = (1/n) sum_i T[mx_i - 2]^T T[my_i - 2]
+    for the rank table T, so the mean is T^T A / (nB), where row m - 2 of A
+    sums the y factors of every observation with doubled x-rank m. Replicates
+    add to A in order. Without ties in x only A's even rows fill, and they
+    are kept in one contiguous (n, G) array.
+    """
+    n = (table.shape[0] + 1) // 2
+    even = np.zeros((n, table.shape[1]))
+    rows = np.empty_like(even)
+    full = None  # every row of A, from the first replicate with tied x
+    for chunk in chunks:
+        for xs, ys in chunk:
+            if xs is None:
+                # ranks are in range, so "clip" only skips the bounds check
+                even += table.take(ys, axis=0, out=rows, mode="clip")
+                continue
+            if full is None:
+                full = np.zeros(table.shape)
+            np.add.at(full, xs, table[ys])
+    if full is None:
+        factors, acc = table[0::2], even
+    else:
+        full[0::2] += even
+        factors, acc = table, full
+    blocks = (slice(b, b + _BLOCK) for b in range(0, len(acc), _BLOCK))
+    return _block_sum((factors[s], acc[s]) for s in blocks) / (n * B)
 
 
 def _coverage_chunk(args):
@@ -262,13 +330,16 @@ def _coverage_chunk(args):
     return np.array([np.count_nonzero(covers(stack, hw, truth)) for hw in half_widths])
 
 
-def _cells(config: ExperimentConfig, workers, chunk_fn, extras=None):
-    """Yield ``(theta_idx, n_idx, chunk results)`` per cell in (theta, n) order.
+def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, table: (table,)):
+    """Yield ``(theta_idx, n_idx, rank table, chunk results)`` per cell in (theta, n) order.
 
-    One rank table per n and one task per (theta, n, chunk), extended by the
-    tuple ``extras[theta_idx][n_idx]`` if given. ``chunk_fn`` maps over all
-    tasks at once: lazily in process for one worker, else through a single
-    process pool of at most one worker per task.
+    One rank table per n and one task per (theta, n, chunk): the stream
+    fields (seed, theta, theta_idx, n, n_idx, r0, r1) extended by the tuple
+    ``extras(theta_idx, n_idx, table)``, by default the table alone.
+    ``chunk_fn`` maps over all tasks at once: lazily in process for one
+    worker, else through a single process pool of at most one worker per
+    task. The chunk results are an iterator over the cell's chunks in order;
+    exhaust it before taking the next cell.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
@@ -283,14 +354,14 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=None):
     chunks = [(r0, min(r0 + REPLICATE_CHUNK, config.B))
               for r0 in range(0, config.B, REPLICATE_CHUNK)]
     cells = [(i, j) for i in range(len(config.thetas)) for j in range(len(config.ns))]
-    tasks = [(config.seed, config.thetas[i], i, config.ns[j], j, r0, r1, tables[j],
-              *(extras[i][j] if extras else ())) for i, j in cells for r0, r1 in chunks]
+    tasks = [(config.seed, config.thetas[i], i, config.ns[j], j, r0, r1, *extras(i, j, tables[j]))
+             for i, j in cells for r0, r1 in chunks]
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
     serial = workers == 1
     with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
         results = map(chunk_fn, tasks) if serial else pool.map(chunk_fn, tasks)
         for i, j in cells:
-            yield i, j, list(islice(results, len(chunks)))
+            yield i, j, tables[j], islice(results, len(chunks))
 
 
 def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
@@ -313,8 +384,9 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
                        for n in config.ns])
 
     counts = np.zeros((len(config.thetas), len(config.ns), len(config.band_specs)), dtype=int)
-    for i, j, chunk_counts in _cells(config, workers, _coverage_chunk, extras):
-        counts[i, j] = np.sum(chunk_counts, axis=0)
+    cells = _cells(config, workers, _coverage_chunk, lambda i, j, table: (table, *extras[i][j]))
+    for i, j, _, chunk_counts in cells:
+        counts[i, j] = np.sum(list(chunk_counts), axis=0)
 
     rows = []
     for k, spec in enumerate(config.band_specs):
@@ -347,8 +419,8 @@ def run_lil_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     if config.B < 100:
         raise ValueError("lil check requires B >= 100 (mean-surface proxy accuracy)")
     rows = []
-    for i, j, stacks in _cells(config, workers, _grid_chunk):
-        grids = np.concatenate(stacks, axis=0)
+    for i, j, _, stacks in _cells(config, workers, _grid_chunk):
+        grids = np.concatenate(list(stacks), axis=0)
         n = config.ns[j]
         stats = rn(n) * np.max(np.abs(grids - grids.mean(axis=0)), axis=(1, 2))
         rows.append(
@@ -364,15 +436,16 @@ def run_bias_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """Normalized bias proxy R_n·sup|Ebar - C| per (theta, n) cell.
 
     B >= 1000 so the mean surface estimates the expectation with error
-    well below the bias it is measuring.
+    well below the bias it is measuring. Ebar is folded from rank-table rows
+    (``_bias_mean``), so memory does not grow with B.
     """
     if config.B < 1000:
         raise ValueError("bias check requires B >= 1000 (mean-surface proxy accuracy)")
     knots = interior_grid(config.grid_resolution)
     truths = [frank_cdf(theta, knots[:, None], knots[None, :]) for theta in config.thetas]
     rows = []
-    for i, j, stacks in _cells(config, workers, _grid_chunk):
-        mean_surface = np.concatenate(stacks, axis=0).mean(axis=0)
+    for i, j, table, chunks in _cells(config, workers, _bias_chunk, lambda i, j, table: ()):
+        mean_surface = _bias_mean(table, chunks, config.B)
         stat = rn(config.ns[j]) * float(np.max(np.abs(mean_surface - truths[i])))
         rows.append(DeviationRow(theta=config.thetas[i], n=config.ns[j], B=config.B,
                                  statistics=(stat,)))

@@ -304,9 +304,9 @@ def test_estimate_grid_memory_does_not_grow_with_n():
 
 
 def test_estimate_grid_does_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at import. With 512-row blocks of
-    # observation-major factors, these grids stay on one BLAS thread; at 50
-    # knots the product is split across threads and the last bits move.
+    # OpenBLAS reads its thread count once, at import. A block's product is
+    # built from 33-knot tiles, which stay on one BLAS thread; one untiled
+    # call is split across threads from 45 knots up and the last bits move.
     code = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -314,7 +314,7 @@ def test_estimate_grid_does_not_depend_on_blas_threads():
         "for n in (513, 2000):\n"
         "    rng = np.random.default_rng(n)\n"
         "    sample = PairedSample(rng.random(n), rng.random(n))\n"
-        "    for g in (33, 36, 44):\n"
+        "    for g in (33, 36, 44, 45, 50, 65, 99):\n"
         "        grid = estimate_grid(sample, default_bandwidth(n), interior_grid(g))\n"
         "        print(n, g, hashlib.sha256(grid.tobytes()).hexdigest())\n"
     )
@@ -327,7 +327,7 @@ def test_estimate_grid_does_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 14
 
 
 def test_rank_table_shape_and_rejects_bad_inputs():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -366,14 +367,8 @@ def test_bias_check_deterministic_across_workers():
     assert run_bias_check(cfg, workers=1) == run_bias_check(cfg, workers=2)
 
 
-def test_lil_check_does_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at import; a single (33, 2000) @ (2000, 33)
-    # product runs on two threads and sums in another order than on one
-    code = (
-        "from copbands.montecarlo import ExperimentConfig, run_lil_check\n"
-        "cfg = ExperimentConfig(thetas=(5.0,), ns=(2000,), B=100, seed=0)\n"
-        "print(repr(run_lil_check(cfg, workers=1)))\n"
-    )
+def _stdout_under_blas_threads(code):
+    """stdout of a Python script importing copbands, under 1 and 2 OpenBLAS threads."""
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -382,7 +377,111 @@ def test_lil_check_does_not_depend_on_blas_threads():
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_lil_check_does_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at import; a single (33, 2000) @ (2000, 33)
+    # product runs on two threads and sums in another order than on one
+    one, two = _stdout_under_blas_threads(
+        "from copbands.montecarlo import ExperimentConfig, run_lil_check\n"
+        "cfg = ExperimentConfig(thetas=(5.0,), ns=(2000,), B=100, seed=0)\n"
+        "print(repr(run_lil_check(cfg, workers=1)))\n"
+    )
+    assert one == two
+
+
+def test_bias_check_does_not_depend_on_blas_threads():
+    # the fold's one product per cell sums 512-row blocks as the estimator does;
+    # the statistic is one max, so the mean surface's bytes are compared too
+    one, two = _stdout_under_blas_threads(
+        "import hashlib\n"
+        "from copbands import montecarlo as mc\n"
+        "from copbands.estimator import default_bandwidth, interior_grid, rank_table\n"
+        "cfg = mc.ExperimentConfig(thetas=(5.0,), ns=(2000,), B=1000, seed=0)\n"
+        "print(repr(mc.run_bias_check(cfg, workers=1)))\n"
+        "table = rank_table(2000, default_bandwidth(2000), interior_grid(33))\n"
+        "chunks = (mc._bias_chunk((0, 5.0, 0, 2000, 0, r0, min(r0 + 64, 1000)))\n"
+        "          for r0 in range(0, 1000, 64))\n"
+        "print(hashlib.sha256(mc._bias_mean(table, chunks, 1000).tobytes()).hexdigest())\n"
+    )
+    assert one == two
+    assert "DeviationRow" in one and len(one.splitlines()) == 2
+
+
+def _fold_against_rank_estimates(theta, n, B, coarse=None):
+    """Max |fold mean - mean of rank_estimate surfaces| over B replicates, and the tied count."""
+    seed, i, j = 2**40 + 1, 3, 1
+    table = rank_table(n, default_bandwidth(n), interior_grid(33))
+    chunks = [montecarlo._bias_chunk((seed, theta, i, n, j, r0, min(r0 + REPLICATE_CHUNK, B)))
+              for r0 in range(0, B, REPLICATE_CHUNK)]
+    surfaces = []
+    for r in range(B):
+        rng = _replicate_rng(seed, i, j, r)
+        u = rng.random(n)
+        u = coarse(u) if coarse else u
+        surfaces.append(rank_estimate(table, u, frank_conditional_sample(theta, u, rng.random(n))))
+    fold = montecarlo._bias_mean(table, chunks, B)
+    tied = sum(xs is not None for chunk in chunks for xs, _ in chunk)
+    return float(np.max(np.abs(fold - np.mean(surfaces, axis=0)))), tied
+
+
+@pytest.mark.parametrize("n", [16, 513])
+@pytest.mark.parametrize("theta", [-700.0, -2.0, 0.0, 1.0, 10.0, 700.0])
+def test_bias_fold_matches_mean_of_rank_estimates(theta, n):
+    # |theta| = 700 ties v; the fold sums in another order than B surfaces do
+    gap, tied = _fold_against_rank_estimates(theta, n, B=REPLICATE_CHUNK + 9)
+    assert gap <= 1e-14
+    assert tied == 0
+
+
+def test_bias_fold_handles_tied_u(monkeypatch):
+    # u on a grid of 64 values ties most n = 16 replicates but not all, so
+    # the fold adds rows both ways
+    def coarse(u):
+        return np.floor(u * 64.0) / 64.0
+
+    keyed_draws = montecarlo._keyed_draws
+
+    def coarse_draws(*args):
+        u, w = keyed_draws(*args)
+        return coarse(u), w
+
+    monkeypatch.setattr(montecarlo, "_keyed_draws", coarse_draws)
+    B = 2 * REPLICATE_CHUNK
+    gap, tied = _fold_against_rank_estimates(1.0, 16, B, coarse)
+    assert gap <= 1e-14
+    assert 0 < tied < B
+
+
+def test_bias_check_memory_does_not_grow_with_b():
+    # the fold keeps one (n, G) table per cell, not a (B, G, G) stack
+    peaks = []
+    for B in (1000, 4000):
+        cfg = ExperimentConfig(thetas=(1.0,), ns=(200,), B=B, seed=5)
+        tracemalloc.start()
+        try:
+            run_bias_check(cfg, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2**20
+
+
+def test_bias_tasks_carry_no_rank_table(recording_pool, monkeypatch):
+    # the fold reads the rank table in the parent, so no task pickles it
+    tasks = []
+
+    def recording_map(self, fn, cell_tasks):
+        tasks.extend(cell_tasks)
+        return map(fn, cell_tasks)
+
+    monkeypatch.setattr(recording_pool, "map", recording_map)
+    cfg = _small_config(ns=(16, 24), B=1000, grid_resolution=5)
+    assert run_bias_check(cfg, workers=2) == run_bias_check(cfg, workers=1)
+    assert len(tasks) == 2 * math.ceil(1000 / REPLICATE_CHUNK)
+    assert all(len(task) == 7 and not any(isinstance(a, np.ndarray) for a in task)
+               for task in tasks)
 
 
 def test_chunk_constant_is_frozen():
