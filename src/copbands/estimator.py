@@ -101,16 +101,51 @@ def _doubled_ranks(x) -> np.ndarray:
 
 
 def _argsort_rows(x: np.ndarray):
-    """Argsort of each row of the 2-D array x and the indices of the rows with ties."""
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    return order, np.flatnonzero(np.any(xs[:, 1:] == xs[:, :-1], axis=1))
+    """Argsort of each row of the 2-D array x of finite values, and the rows with ties.
+
+    Rows of n values are sorted as packed keys: each value, plus 0.0 so that
+    -0.0 becomes the +0.0 it equals, has its low b = max(1, (n - 1).bit_length())
+    bits overwritten with its column index, and the keys are sorted in place
+    as doubles. Doubles of one sign order like their bit patterns, so values
+    that differ above the low b bits keep their order, and the low bits of
+    the sorted keys are the argsort. Values that agree above them, equal ones
+    included, sort next to each other; only such runs are sorted again, by
+    value. Every row comes back sorted, and a row without ties in the order
+    ``np.argsort`` gives. The second result lists, ascending, the rows in
+    which two values are equal.
+    """
+    n = x.shape[1]
+    low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+    keys = np.add(x, 0.0, dtype=np.float64)
+    bits = keys.view(np.uint64)
+    bits &= ~low
+    bits |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    near = (bits[:, 1:] ^ bits[:, :-1]) <= low  # neighbours agree above the low bits
+    bits &= low
+    order = bits.view(np.int64)
+    tied = []
+    for k in np.flatnonzero(near.any(axis=1)):
+        run = np.zeros(n, dtype=bool)
+        run[1:] = near[k]
+        run[:-1] |= near[k]
+        # the runs hold disjoint ranges of values, so sorting them together
+        # and writing back to their positions sorts each one
+        cols = order[k, run]
+        vals = x[k, cols]
+        resort = np.argsort(vals)
+        order[k, run] = cols[resort]
+        vals = vals[resort]
+        if np.any(vals[1:] == vals[:-1]):
+            tied.append(k)
+    return order, np.array(tied, dtype=np.intp)
 
 
 def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
-    """``_doubled_ranks`` of each row of the 2-D array x, one argsort for all rows.
+    """``_doubled_ranks`` of each row of the 2-D array x of finite values.
 
-    A row with ties is ranked again by ``_doubled_ranks`` itself.
+    The rows are ordered by ``_argsort_rows``, a sort of packed keys; a row
+    with ties is ranked again by ``_doubled_ranks`` itself.
     """
     order, tied = _argsort_rows(x)
     m = np.empty(x.shape, dtype=np.intp)

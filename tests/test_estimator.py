@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -101,6 +101,63 @@ def test_rank_rows_fall_back_on_ties():
     m = estimator._doubled_rank_rows(x)
     assert m.dtype == np.intp
     for row, ranks in zip(x, m):
+        np.testing.assert_array_equal(ranks, estimator._doubled_ranks(row))
+
+
+# values that stress the row sort's packed keys: signed zeros, subnormals,
+# 0 and 1, the extremes
+_FMAX = float(np.finfo(float).max)
+_RANK_SPECIALS = (0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, _FMAX, -_FMAX)
+
+
+@st.composite
+def _rank_rows(draw):
+    """(rows, width) matrix of uniform draws mixed with a pool of values and one-ulp neighbours.
+
+    Widths straddle the index bit counts 4, 11 and 12. A row takes each
+    pool value once or a share of draws from the pool, which ties it;
+    neighbours one ulp apart share all but the low bits.
+    """
+    width = draw(st.sampled_from([2, 16, 17, 1024, 1025, 2048, 2049]))
+    value = st.sampled_from(_RANK_SPECIALS) | st.floats(allow_nan=False, allow_infinity=False)
+    pool = np.array(draw(st.lists(value, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        pool = np.concatenate([pool, -pool])  # 0.0 gives -0.0 too
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = st.tuples(st.floats(0.0, 1.0), st.booleans(), st.floats(0.0, 1.0), st.booleans())
+    rows = []
+    for pooled, once, nudged, signed in draw(st.lists(shares, min_size=1, max_size=4)):
+        row = rng.random(width) - (0.5 if signed else 0.0)
+        if once:  # each pool value in one place
+            row[rng.choice(width, min(pool.size, width), replace=False)] = pool[:width]
+        else:
+            pick = rng.random(width) < pooled
+            row[pick] = rng.choice(pool, np.count_nonzero(pick))
+        pick = rng.random(width) < nudged
+        up = rng.random(np.count_nonzero(pick)) < 0.5
+        src = row[rng.integers(0, width, up.size)]
+        row[pick] = np.nextafter(src, np.where(up, _FMAX, -_FMAX))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rank_rows())
+# -0.0 and +0.0 once each, apart from every other value: the only tie
+@example(np.array([[0.25, -0.0, 0.5, 0.0, 0.75, 1.0, 2.0, 3.0, -1.0, -2.0, -3.0,
+                    4.0, 5.0, 6.0, 7.0, 8.0]]))
+def test_rank_rows_sort_every_row(x):
+    order, tied = estimator._argsort_rows(x)
+    np.testing.assert_array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(x.shape[1]), x.shape))
+    xs = np.take_along_axis(x, order, axis=1)
+    assert np.all(xs[:, 1:] >= xs[:, :-1])
+    ref = np.sort(x, axis=1)
+    has_ties = np.any(ref[:, 1:] == ref[:, :-1], axis=1)
+    np.testing.assert_array_equal(tied, np.flatnonzero(has_ties))
+    for k in np.flatnonzero(~has_ties):
+        np.testing.assert_array_equal(order[k], np.argsort(x[k]))
+    for row, ranks in zip(x, estimator._doubled_rank_rows(x)):
         np.testing.assert_array_equal(ranks, estimator._doubled_ranks(row))
 
 

@@ -14,7 +14,7 @@ import pytest
 from copbands.bands import BandMethod, BandSpec
 from copbands import montecarlo
 from copbands.copula import THETA_MAX, frank_conditional_sample
-from copbands.estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
+from copbands.estimator import _doubled_ranks, default_bandwidth, interior_grid, rank_estimate, rank_table
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
     WORKERS_ENV,
@@ -409,18 +409,24 @@ def test_bias_check_does_not_depend_on_blas_threads():
     assert "DeviationRow" in one and len(one.splitlines()) == 2
 
 
+_FOLD_CELL = (2**40 + 1, 3, 1)  # seed, theta index, n index
+
+
+def _fold_draws(theta, n, r, coarse=None):
+    """u and the Frank v of replicate r of the fold tests' cell."""
+    rng = _replicate_rng(*_FOLD_CELL, r)
+    u = rng.random(n)
+    u = coarse(u) if coarse else u
+    return u, frank_conditional_sample(theta, u, rng.random(n))
+
+
 def _fold_against_rank_estimates(theta, n, B, coarse=None):
     """Max |fold mean - mean of rank_estimate surfaces| over B replicates, and the tied count."""
-    seed, i, j = 2**40 + 1, 3, 1
+    seed, i, j = _FOLD_CELL
     table = rank_table(n, default_bandwidth(n), interior_grid(33))
     chunks = [montecarlo._bias_chunk((seed, theta, i, n, j, r0, min(r0 + REPLICATE_CHUNK, B)))
               for r0 in range(0, B, REPLICATE_CHUNK)]
-    surfaces = []
-    for r in range(B):
-        rng = _replicate_rng(seed, i, j, r)
-        u = rng.random(n)
-        u = coarse(u) if coarse else u
-        surfaces.append(rank_estimate(table, u, frank_conditional_sample(theta, u, rng.random(n))))
+    surfaces = [rank_estimate(table, *_fold_draws(theta, n, r, coarse)) for r in range(B)]
     fold = montecarlo._bias_mean(table, chunks, B)
     tied = sum(xs is not None for chunk in chunks for xs, _ in chunk)
     return float(np.max(np.abs(fold - np.mean(surfaces, axis=0)))), tied
@@ -435,9 +441,13 @@ def test_bias_fold_matches_mean_of_rank_estimates(theta, n):
     assert tied == 0
 
 
-def test_bias_fold_handles_tied_u(monkeypatch):
-    # u on a grid of 64 values ties most n = 16 replicates but not all, so
-    # the fold adds rows both ways
+@pytest.fixture
+def coarse_u(monkeypatch):
+    """Puts the engine's u draws on a grid of 64 values and returns that map.
+
+    The grid ties most n = 16 replicates but not all, so the fold adds rows
+    both ways.
+    """
     def coarse(u):
         return np.floor(u * 64.0) / 64.0
 
@@ -448,10 +458,51 @@ def test_bias_fold_handles_tied_u(monkeypatch):
         return coarse(u), w
 
     monkeypatch.setattr(montecarlo, "_keyed_draws", coarse_draws)
+    return coarse
+
+
+def test_bias_fold_handles_tied_u(coarse_u):
     B = 2 * REPLICATE_CHUNK
-    gap, tied = _fold_against_rank_estimates(1.0, 16, B, coarse)
+    gap, tied = _fold_against_rank_estimates(1.0, 16, B, coarse_u)
     assert gap <= 1e-14
     assert 0 < tied < B
+
+
+def _bias_rows_against_argsort(theta, n, coarse=None):
+    """Replicates with tied u in the cell's second chunk, whose _bias_chunk rows are checked.
+
+    Each replicate's rows must be the integer arrays that np.argsort and
+    _doubled_ranks give on its own draws.
+    """
+    seed, i, j = _FOLD_CELL
+    r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
+    rows = montecarlo._bias_chunk((seed, theta, i, n, j, r0, r1))
+    assert len(rows) == r1 - r0
+    tied = 0
+    for r, (xs, ys) in zip(range(r0, r1), rows):
+        u, v = _fold_draws(theta, n, r, coarse)
+        my = _doubled_ranks(v) - 2
+        assert ys.dtype.kind == "i"
+        if np.unique(u).size == n:
+            assert xs is None
+            assert np.array_equal(ys, my[np.argsort(u)])
+        else:
+            tied += 1
+            assert xs.dtype.kind == "i"
+            assert np.array_equal(xs, _doubled_ranks(u) - 2)
+            assert np.array_equal(ys, my)
+    return tied
+
+
+@pytest.mark.parametrize("n", [16, 2000])
+@pytest.mark.parametrize("theta", [-700.0, 0.0, 5.0, 700.0])
+def test_bias_chunk_rows_are_exact(theta, n):
+    # |theta| = 700 ties v, which the row sort hands to _doubled_ranks
+    assert _bias_rows_against_argsort(theta, n) == 0
+
+
+def test_bias_chunk_rows_are_exact_with_tied_u(coarse_u):
+    assert 0 < _bias_rows_against_argsort(1.0, 16, coarse_u) < REPLICATE_CHUNK
 
 
 def test_bias_check_memory_does_not_grow_with_b():
