@@ -18,7 +18,11 @@ and ``rank_estimate`` split the same arithmetic for many samples of one
 size, tabulating the kernel factors of every possible rank once. Factor
 tables are observation-major, one row per observation or rank, and both
 paths sum over observations in blocks of 512, so memory is O(|knots|·512)
-for any n.
+for any n. The order of the terms is free, and both paths add them in
+x-rank order, a tie group of x in y-rank order: the sum depends only on
+the set of rank pairs, so a surface has the same bits for every row order
+of its sample, and without ties in x the x factors of the terms are the
+rank table's even rows, in order.
 """
 
 from __future__ import annotations
@@ -83,21 +87,49 @@ def _check_knots(knots) -> np.ndarray:
     return arr
 
 
-def _doubled_ranks(x) -> np.ndarray:
-    """Twice the ranks 1..n as integers, each tie group given twice its mean rank."""
+def _sorted_ranks(x):
+    """Argsort of x, the doubled ranks of x in that order, and whether x has a tie.
+
+    Doubled ranks are twice the ranks 1..n as integers, each tie group
+    given twice its mean rank; in sorted order they are 2, 4, ..., 2n
+    unless x has a tie.
+    """
     x = np.asarray(x, dtype=float)
     order = np.argsort(x)
     xs = x[order]
     # tie groups are the runs of equal sorted values
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    m = np.empty(xs.size, dtype=np.intp)
     if starts.size == xs.size:
-        m[order] = np.arange(2, 2 * xs.size + 1, 2)
-    else:
-        ends = np.append(starts[1:], xs.size)
-        # ranks starts+1 .. ends have the mean (starts + 1 + ends) / 2
-        m[order] = np.repeat(starts + 1 + ends, ends - starts)
+        return order, np.arange(2, 2 * xs.size + 1, 2), False
+    ends = np.append(starts[1:], xs.size)
+    # ranks starts+1 .. ends have the mean (starts + 1 + ends) / 2
+    return order, np.repeat(starts + 1 + ends, ends - starts), True
+
+
+def _doubled_ranks(x) -> np.ndarray:
+    """Twice the ranks 1..n as integers, each tie group given twice its mean rank."""
+    order, ranks, _ = _sorted_ranks(x)
+    m = np.empty(order.size, dtype=np.intp)
+    m[order] = ranks
     return m
+
+
+def _lexsorted(mx: np.ndarray, my: np.ndarray):
+    """The pairs (mx_i, my_i) of doubled ranks, sorted by mx and then by my."""
+    order = np.lexsort((my, mx))
+    return mx[order], my[order]
+
+
+def _rank_pairs(xs, ys):
+    """Doubled ranks (mx, my) of the sample's pairs in the estimator's summation order.
+
+    Pairs are sorted by mx, so without ties in xs mx is 2, 4, ..., 2n and
+    my is read through the argsort that ranks xs; only a sample with tied
+    xs is sorted again, by my within each tie group.
+    """
+    order, mx, tied = _sorted_ranks(xs)
+    my = _doubled_ranks(ys)[order]
+    return _lexsorted(mx, my) if tied else (mx, my)
 
 
 def _argsort_rows(x: np.ndarray):
@@ -145,11 +177,14 @@ def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
     """``_doubled_ranks`` of each row of the 2-D array x of finite values.
 
     The rows are ordered by ``_argsort_rows``, a sort of packed keys; a row
-    with ties is ranked again by ``_doubled_ranks`` itself.
+    with ties is ranked again by ``_doubled_ranks`` itself. The Monte Carlo
+    engine ranks its y margins with it; its x margins need only the order.
     """
     order, tied = _argsort_rows(x)
     m = np.empty(x.shape, dtype=np.intp)
-    np.put_along_axis(m, order, np.arange(2, 2 * x.shape[1] + 1, 2)[None, :], axis=1)
+    ranks = np.arange(2, 2 * x.shape[1] + 1, 2)
+    for row, o in zip(m, order):  # cheaper than np.put_along_axis at n = 2000
+        row[o] = ranks
     for k in tied:
         m[k] = _doubled_ranks(x[k])
     return m
@@ -179,7 +214,7 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     knots = _check_knots(knots)
     denom = 2.0 * (sample.n + 1)
     return _mean_product(lambda m: _factors(knots, m / denom, h),
-                         _doubled_ranks(sample.xs), _doubled_ranks(sample.ys))
+                         *_rank_pairs(sample.xs, sample.ys))
 
 
 def _check_bandwidth(h) -> None:
@@ -202,16 +237,22 @@ def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
 
 
 def _mean_product(factors, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i factors(mx_i) factors(my_i)^T over doubled ranks mx, my of two margins.
+    """(1/n) sum_i factors(mx_i) factors(my_i)^T over pairs of doubled ranks, in the order given.
 
     The estimator's double sum separates per axis. ``factors`` maps doubled
     ranks m to the (len(m), knots) factors of m / (2(n + 1)); estimate_grid
-    evaluates them and _table_product gathers row m - 2 of a rank table,
-    so the two agree bit for bit. Blocks of _BLOCK observations are added in
-    order, so memory is O(|knots|·_BLOCK) for any n.
+    evaluates them and rank_estimate gathers row m - 2 of a rank table,
+    so the two agree bit for bit. Both pass the pairs of ``_rank_pairs``,
+    sorted by (mx, my), so the sum does not depend on the sample's row
+    order. Blocks of _BLOCK pairs are added in order, so memory is
+    O(|knots|·_BLOCK) for any n.
     """
-    blocks = (slice(b, b + _BLOCK) for b in range(0, mx.size, _BLOCK))
-    return _block_sum((factors(mx[s]), factors(my[s])) for s in blocks) / mx.size
+    return _block_sum((factors(mx[s]), factors(my[s])) for s in _blocks(mx.size)) / mx.size
+
+
+def _blocks(n: int):
+    """Slices of the estimator sum's blocks of _BLOCK observations, in order."""
+    return (slice(b, b + _BLOCK) for b in range(0, n, _BLOCK))
 
 
 def _block_sum(blocks) -> np.ndarray:
@@ -251,17 +292,15 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     """Estimator surface of the raw sample (xs, ys) from a :func:`rank_table`.
 
     Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
-    the table's n, h and knots. The samples are trusted to be finite.
+    the table's n, h and knots, and checked as ``PairedSample`` checks a
+    sample: finite values in two one-dimensional arrays of equal length,
+    here the table's n.
     """
     n = (table.shape[0] + 1) // 2
-    if np.shape(xs) != (n,) or np.shape(ys) != (n,):
-        raise ValueError(f"xs and ys must be one-dimensional of the table's size {n}")
-    return _table_product(table, _doubled_ranks(xs), _doubled_ranks(ys))
-
-
-def _table_product(table: np.ndarray, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    """Estimator surface of doubled ranks mx, my, gathered from a :func:`rank_table`."""
-    return _mean_product(lambda m: table[m - 2], mx, my)
+    sample = PairedSample(xs, ys)
+    if sample.n != n:
+        raise ValueError(f"xs and ys must have the table's size {n}, not {sample.n}")
+    return _mean_product(lambda m: table[m - 2], *_rank_pairs(sample.xs, sample.ys))
 
 
 def default_bandwidth(n: int) -> float:

@@ -14,8 +14,11 @@ depend on theta), one task per (theta, n, chunk) in that order, and one
 map over all tasks. A task is a chunk of up to ``REPLICATE_CHUNK``
 replicates and runs each layer once per row block of about ``_ROW_BLOCK``
 draws: one Philox generator re-keyed per replicate, one Frank sampler call
-and one rank pass over (replicates, n) arrays. Coverage and the lil check
-then gather rank-table rows and run the blocked product per replicate;
+and one rank pass over (replicates, n) arrays. Every experiment reads a
+replicate as its rank-table rows in x-rank order (``_rank_rows``), the
+order in which the estimator sums: the x factors of an untied replicate
+are then the table's even rows in order, so only its y rows are gathered.
+Coverage and the lil check run the blocked product per replicate;
 coverage workers return counts, and the lil check concatenates one cell's
 chunk stacks at a time. The bias check forms no surface per replicate:
 its workers return each replicate's rank-table rows, and the parent folds
@@ -49,8 +52,8 @@ import numpy as np
 
 from .bands import BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import _BLOCK, _argsort_rows, _block_sum, _doubled_rank_rows, _doubled_ranks
-from .estimator import _table_product
+from .estimator import _argsort_rows, _block_sum, _blocks, _doubled_rank_rows, _doubled_ranks
+from .estimator import _lexsorted
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -249,47 +252,56 @@ def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int
     return u, w
 
 
-def _ranked_blocks(args, rank_x):
-    """Yield ``(u, rank_x(u), doubled ranks of v)`` per row block of replicates r0..r1-1.
+def _rank_rows(args):
+    """Yield the rank-table rows of replicates r0..r1-1 in x-rank order, one pair each.
 
     ``args`` starts with the stream fields (seed, theta, theta_idx, n, n_idx,
     r0, r1). Each block of about ``_ROW_BLOCK`` draws runs one keyed draw,
-    one Frank sampler call and one rank pass over its rows.
+    one Frank sampler call and one rank pass over its rows: u is only
+    ordered, v is ranked. A replicate gives ``(None, ys)``: ys[k] is the row
+    of the y factors of its observation of x-rank k + 1, whose x factors are
+    row 2k. A replicate with tied u gives the rows ``(xs, ys)`` of its pairs
+    of doubled ranks, sorted by x-rank and then by y-rank. Either way the
+    rows come in the order in which ``rank_estimate`` sums.
     """
     (seed, theta, theta_idx, n, n_idx, r0, r1) = args[:7]
     rows = max(1, _ROW_BLOCK // n)
     for b in range(r0, r1, rows):
         u, w = _keyed_draws(seed, theta_idx, n_idx, b, min(b + rows, r1), n)
-        yield u, rank_x(u), _doubled_rank_rows(frank_conditional_sample(theta, u, w))
+        order, tied = _argsort_rows(u)
+        ys = _doubled_rank_rows(frank_conditional_sample(theta, u, w)) - 2
+        tied = set(tied.tolist())
+        for k in range(len(u)):
+            if k in tied:
+                yield _lexsorted(_doubled_ranks(u[k]) - 2, ys[k])
+            else:
+                yield None, ys[k].take(order[k])
 
 
 def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
 
     Draws, the Frank sampler and the ranks run once per row block; each
-    replicate then gathers its rank-table rows and adds its blocks as
-    ``rank_estimate`` does, so its surface has the same bits.
+    replicate then adds the blocks of its ``_rank_rows`` as
+    ``rank_estimate`` does, so its surface has the same bits. An untied
+    replicate's x factors are slices of the table's even rows, and only its
+    y rows are gathered.
     """
     table = args[7]
-    return np.array([_table_product(table, mx_r, my_r)
-                     for _, mx, my in _ranked_blocks(args, _doubled_rank_rows)
-                     for mx_r, my_r in zip(mx, my)])
+    even = np.ascontiguousarray(table[0::2])  # x factors of x-ranks 1..n, in order
+    n = len(even)
+    surfaces = []
+    for xs, ys in _rank_rows(args):
+        fx = even if xs is None else table[xs]
+        # ranks are in range, so "clip" only skips the bounds check
+        blocks = ((fx[s], table.take(ys[s], axis=0, mode="clip")) for s in _blocks(n))
+        surfaces.append(_block_sum(blocks) / n)
+    return np.array(surfaces)
 
 
 def _bias_chunk(args):
-    """Rank-table rows that replicates r0..r1-1 add to the bias fold, one pair each.
-
-    A replicate gives ``(None, ys)``: ys[k] is the row of the y factors of
-    its observation of x-rank k + 1, whose x factors are row 2k. A replicate
-    with tied u gives the x and y rows of its observations instead.
-    """
-    rows = []
-    for u, (order, tied), my in _ranked_blocks(args, _argsort_rows):
-        ys = np.take_along_axis(my, order, axis=1) - 2
-        tied = set(tied.tolist())
-        rows += [(_doubled_ranks(u[k]) - 2, my[k] - 2) if k in tied else (None, ys[k])
-                 for k in range(len(u))]
-    return rows
+    """Rank-table rows that replicates r0..r1-1 add to the bias fold: their ``_rank_rows``."""
+    return list(_rank_rows(args))
 
 
 def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
@@ -319,8 +331,7 @@ def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
     else:
         full[0::2] += even
         factors, acc = table, full
-    blocks = (slice(b, b + _BLOCK) for b in range(0, len(acc), _BLOCK))
-    return _block_sum((factors[s], acc[s]) for s in blocks) / (n * B)
+    return _block_sum((factors[s], acc[s]) for s in _blocks(len(acc))) / (n * B)
 
 
 def _coverage_chunk(args):

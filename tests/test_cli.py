@@ -67,6 +67,22 @@ def test_estimate_is_deterministic(frank_xy, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_estimate_does_not_depend_on_row_order(frank_xy, tmp_path, tied):
+    # 2000 rows span four blocks of the estimator sum; rounding ties both margins
+    header, *rows = frank_xy(n=2000).read_text(encoding="utf-8").splitlines()
+    if tied:
+        rows = [",".join(f"{float(v):.2f}" for v in row.split(",")) for row in rows]
+    shuffled = [rows[k] for k in np.random.default_rng(3).permutation(len(rows))]
+    outputs = []
+    for name, lines in (("rows", rows), ("shuffled", shuffled)):
+        data = _write(tmp_path / f"{name}.csv", "\n".join([header, *lines]) + "\n")
+        out = tmp_path / f"{name}.out.csv"
+        assert main(["estimate", str(data), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_estimate_rejects_few_rows(frank_xy, tmp_path, capsys):
     data = frank_xy(n=10)
     code = main(["estimate", str(data), "--out", str(tmp_path / "x.csv")])

@@ -259,7 +259,7 @@ def test_estimate_grid_permutation_invariant():
     knots = interior_grid(11)
     a = estimate_grid(sample, 0.25, knots)
     b = estimate_grid(shuffled, 0.25, knots)
-    assert float(np.max(np.abs(a - b))) <= 1e-14
+    assert np.array_equal(a, b)
 
 
 def test_estimate_grid_small_bandwidth_limit_is_empirical_copula():
@@ -402,11 +402,54 @@ def test_rank_table_shape_and_rejects_bad_inputs():
 def test_rank_estimate_rejects_samples_of_another_size():
     table = rank_table(20, 0.3, interior_grid(5))
     xs = np.arange(20.0)
+    for bad in (xs[:19], np.append(xs, 20.0)):
+        with pytest.raises(ValueError, match="size 20, not"):
+            rank_estimate(table, bad, bad)
+    # unequal lengths and arrays that are not 1-D fail as a PairedSample would
     for bad in (xs[:19], np.append(xs, 20.0), xs.reshape(4, 5)):
-        with pytest.raises(ValueError, match="size 20"):
-            rank_estimate(table, bad, xs)
-        with pytest.raises(ValueError, match="size 20"):
-            rank_estimate(table, xs, bad)
+        for margins in ((bad, xs), (xs, bad)):
+            with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+                rank_estimate(table, *margins)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("margin", [0, 1])
+def test_rank_estimate_rejects_non_finite_values(value, margin):
+    # rank_estimate rejects what estimate_grid rejects
+    knots = interior_grid(5)
+    table = rank_table(20, 0.3, knots)
+    margins = [np.arange(20.0), np.arange(20.0)]
+    margins[margin][7] = value
+    with pytest.raises(ValueError, match="finite"):
+        rank_estimate(table, *margins)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_grid(PairedSample(*margins), 0.3, knots)
+
+
+@st.composite
+def _shuffled_samples(draw):
+    """A raw sample, light or heavy ties in each margin, and a permutation of its rows.
+
+    Sizes reach past two 512-row blocks of the estimator sum.
+    """
+    n = draw(st.integers(2, 1100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = (rng.integers(0, draw(st.sampled_from([2, 7, 10**9])), n).astype(float)
+              for _ in range(2))
+    return xs, ys, rng.permutation(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shuffled_samples())
+def test_estimates_do_not_depend_on_row_order(sample):
+    # both paths sum over the sorted rank pairs, so a row permutation keeps every bit
+    xs, ys, perm = sample
+    h = default_bandwidth(max(xs.size, 3))
+    knots = np.concatenate(([0.0], interior_grid(9), [1.0]))
+    table = rank_table(xs.size, h, knots)
+    grid = estimate_grid(PairedSample(xs, ys), h, knots)
+    assert np.array_equal(estimate_grid(PairedSample(xs[perm], ys[perm]), h, knots), grid)
+    assert np.array_equal(rank_estimate(table, xs[perm], ys[perm]), grid)
 
 
 # -------------------------------------------------------- default_bandwidth

@@ -468,11 +468,30 @@ def test_bias_fold_handles_tied_u(coarse_u):
     assert 0 < tied < B
 
 
+def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
+    # a replicate with tied u takes the lexsorted-pairs path of the engine
+    seed, i, j = _FOLD_CELL
+    n, theta = 16, 1.0
+    table = rank_table(n, default_bandwidth(n), interior_grid(33))
+    r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
+    stack = montecarlo._grid_chunk((seed, theta, i, n, j, r0, r1, table))
+    tied = 0
+    for r, surface in zip(range(r0, r1), stack):
+        u, v = _fold_draws(theta, n, r, coarse_u)
+        tied += np.unique(u).size < n
+        assert np.array_equal(surface, rank_estimate(table, u, v))
+    assert 0 < tied < r1 - r0
+    cfg = _small_config()
+    assert run_coverage(cfg, workers=1) == run_coverage(cfg, workers=2)
+    assert run_lil_check(cfg, workers=1) == run_lil_check(cfg, workers=2)
+
+
 def _bias_rows_against_argsort(theta, n, coarse=None):
     """Replicates with tied u in the cell's second chunk, whose _bias_chunk rows are checked.
 
     Each replicate's rows must be the integer arrays that np.argsort and
-    _doubled_ranks give on its own draws.
+    _doubled_ranks give on its own draws, in x-rank order, a tie group of
+    x in y-rank order.
     """
     seed, i, j = _FOLD_CELL
     r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
@@ -489,8 +508,10 @@ def _bias_rows_against_argsort(theta, n, coarse=None):
         else:
             tied += 1
             assert xs.dtype.kind == "i"
-            assert np.array_equal(xs, _doubled_ranks(u) - 2)
-            assert np.array_equal(ys, my)
+            mx = _doubled_ranks(u) - 2
+            order = np.lexsort((my, mx))
+            assert np.array_equal(xs, mx[order])
+            assert np.array_equal(ys, my[order])
     return tied
 
 
