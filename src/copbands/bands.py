@@ -31,6 +31,7 @@ import numpy as np
 from .specfun import normal_quantile
 
 __all__ = [
+    "MIN_N",
     "NumericError",
     "BandMethod",
     "BandSpec",
@@ -38,6 +39,10 @@ __all__ = [
     "half_width",
     "covers",
 ]
+
+
+# the smallest sample size of R_n = sqrt(n / (2 log log n)), and so of every band
+MIN_N = 16
 
 
 class NumericError(RuntimeError):
@@ -76,9 +81,9 @@ class BandSpec:
 def rn(n: int) -> float:
     """Iterated-logarithm normalization R_n = sqrt(n / (2 log log n))."""
     n = operator.index(n)
-    if n < 16:
+    if n < MIN_N:
         raise ValueError(
-            "n >= 16 required: R_n = sqrt(n / (2 log log n)) needs log log n safely positive"
+            f"n >= {MIN_N} required: R_n = sqrt(n / (2 log log n)) needs log log n safely positive"
         )
     return math.sqrt(n / (2.0 * math.log(math.log(n))))
 

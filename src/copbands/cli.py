@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import BandMethod, BandSpec, NumericError, half_width
+from .bands import MIN_N, BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
 from .estimator import PairedSample, _check_bandwidth, default_bandwidth
 from .estimator import estimate_grid, interior_grid
@@ -49,9 +49,6 @@ EXIT_NUMERIC = 3
 LIL_BOUND = 3.0
 
 _REQUIRED = object()
-
-# estimate and bands need R_n = sqrt(n / (2 log log n)), defined from n = 16
-_MIN_ROWS = 16
 
 METHODS = [method.value for method in BandMethod]
 
@@ -98,7 +95,7 @@ def _load_xy(path: str) -> PairedSample | None:
     """The sample at ``path`` read by ``np.loadtxt``, or None.
 
     None unless the header is ``x,y`` and loadtxt reads at least
-    _MIN_ROWS rows of two finite values. loadtxt parses a number with the
+    MIN_N rows of two finite values. loadtxt parses a number with the
     function float() calls, and refuses what float() alone accepts
     (quotes, ``1_0``, non-ASCII digits) and lines of one cell, so the
     values are those of :func:`_parse_xy` bit for bit.
@@ -111,7 +108,7 @@ def _load_xy(path: str) -> PairedSample | None:
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except Exception:  # whatever loadtxt refuses, the per-line parser judges and reports
         return None
-    if table.shape[1] != 2 or len(table) < _MIN_ROWS or not np.isfinite(table).all():
+    if table.shape[1] != 2 or len(table) < MIN_N or not np.isfinite(table).all():
         return None
     xs, ys = np.ascontiguousarray(table.T)
     return PairedSample(xs, ys)
@@ -150,9 +147,9 @@ def _parse_xy(path: str) -> PairedSample:
                 ys.append(pair[1])
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_error(path, exc) from exc
-    if len(xs) < _MIN_ROWS:
-        raise ValueError(f"{path}: need at least {_MIN_ROWS} data rows, found {len(xs)} "
-                         f"(the normalization R_n = sqrt(n / (2 log log n)) requires n >= {_MIN_ROWS})")
+    if len(xs) < MIN_N:
+        raise ValueError(f"{path}: need at least {MIN_N} data rows, found {len(xs)} "
+                         f"(the normalization R_n = sqrt(n / (2 log log n)) requires n >= {MIN_N})")
     return PairedSample(np.array(xs), np.array(ys))
 
 
@@ -270,15 +267,13 @@ def _cmd_bands(args):
     method = BandMethod(args.method)
     if method is BandMethod.NORMAL and args.theta is None:
         raise ValueError("--method normal requires --theta (variance is evaluated at the true parameter)")
-    if args.theta is not None and not math.isfinite(args.theta):
-        raise ValueError("theta must be a finite real number")
     spec = BandSpec(method, A=args.A, epsilon=args.epsilon, confidence=args.confidence)
     knots = interior_grid(args.grid)
+    sigma2 = None  # frank_sigma2 rejects a theta that is not finite, whatever the method
+    if args.theta is not None:
+        sigma2 = frank_sigma2(args.theta, knots[:, None], knots[None, :])
     center, parameters = _estimate(args, knots)
 
-    sigma2 = None
-    if method is BandMethod.NORMAL:
-        sigma2 = frank_sigma2(args.theta, knots[:, None], knots[None, :])
     hw = half_width(spec, parameters["n"], sigma2)
     lower = center - hw
     upper = center + hw

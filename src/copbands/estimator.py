@@ -23,6 +23,12 @@ x-rank order, a tie group of x in y-rank order: the sum depends only on
 the set of rank pairs, so a surface has the same bits for every row order
 of its sample, and without ties in x the x factors of the terms are the
 rank table's even rows, in order.
+
+Every estimate, the Monte Carlo engine's included, ranks through one
+ranker: ``_argsort_rows`` sorts the rows of a batch of samples, and
+``_rank_pair_rows`` turns each row into its rank pairs in that order
+(``estimate_grid`` and ``rank_estimate`` pass a batch of one). A lookup
+in a rank table ends in ``_table_sum``, the one sum over table rows.
 """
 
 from __future__ import annotations
@@ -87,51 +93,6 @@ def _check_knots(knots) -> np.ndarray:
     return arr
 
 
-def _sorted_ranks(x):
-    """Argsort of x, the doubled ranks of x in that order, and whether x has a tie.
-
-    Doubled ranks are twice the ranks 1..n as integers, each tie group
-    given twice its mean rank; in sorted order they are 2, 4, ..., 2n
-    unless x has a tie.
-    """
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x)
-    xs = x[order]
-    # tie groups are the runs of equal sorted values
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    if starts.size == xs.size:
-        return order, np.arange(2, 2 * xs.size + 1, 2), False
-    ends = np.append(starts[1:], xs.size)
-    # ranks starts+1 .. ends have the mean (starts + 1 + ends) / 2
-    return order, np.repeat(starts + 1 + ends, ends - starts), True
-
-
-def _doubled_ranks(x) -> np.ndarray:
-    """Twice the ranks 1..n as integers, each tie group given twice its mean rank."""
-    order, ranks, _ = _sorted_ranks(x)
-    m = np.empty(order.size, dtype=np.intp)
-    m[order] = ranks
-    return m
-
-
-def _lexsorted(mx: np.ndarray, my: np.ndarray):
-    """The pairs (mx_i, my_i) of doubled ranks, sorted by mx and then by my."""
-    order = np.lexsort((my, mx))
-    return mx[order], my[order]
-
-
-def _rank_pairs(xs, ys):
-    """Doubled ranks (mx, my) of the sample's pairs in the estimator's summation order.
-
-    Pairs are sorted by mx, so without ties in xs mx is 2, 4, ..., 2n and
-    my is read through the argsort that ranks xs; only a sample with tied
-    xs is sorted again, by my within each tie group.
-    """
-    order, mx, tied = _sorted_ranks(xs)
-    my = _doubled_ranks(ys)[order]
-    return _lexsorted(mx, my) if tied else (mx, my)
-
-
 def _argsort_rows(x: np.ndarray):
     """Argsort of each row of the 2-D array x of finite values, and the rows with ties.
 
@@ -141,10 +102,11 @@ def _argsort_rows(x: np.ndarray):
     as doubles. Doubles of one sign order like their bit patterns, so values
     that differ above the low b bits keep their order, and the low bits of
     the sorted keys are the argsort. Values that agree above them, equal ones
-    included, sort next to each other; only such runs are sorted again, by
-    value. Every row comes back sorted, and a row without ties in the order
-    ``np.argsort`` gives. The second result lists, ascending, the rows in
-    which two values are equal.
+    included, sort next to each other; a row with such neighbours is sorted
+    again by ``np.argsort``, which costs less than sorting its runs apart
+    when the row is heavily tied and is rare otherwise. Every row comes back
+    sorted, and a row without ties in the order ``np.argsort`` gives. The
+    second result lists, ascending, the rows in which two values are equal.
     """
     n = x.shape[1]
     low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
@@ -158,27 +120,29 @@ def _argsort_rows(x: np.ndarray):
     order = bits.view(np.int64)
     tied = []
     for k in np.flatnonzero(near.any(axis=1)):
-        run = np.zeros(n, dtype=bool)
-        run[1:] = near[k]
-        run[:-1] |= near[k]
-        # the runs hold disjoint ranges of values, so sorting them together
-        # and writing back to their positions sorts each one
-        cols = order[k, run]
-        vals = x[k, cols]
-        resort = np.argsort(vals)
-        order[k, run] = cols[resort]
-        vals = vals[resort]
+        order[k] = np.argsort(x[k])
+        vals = x[k, order[k]]
         if np.any(vals[1:] == vals[:-1]):
             tied.append(k)
     return order, np.array(tied, dtype=np.intp)
 
 
-def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
-    """``_doubled_ranks`` of each row of the 2-D array x of finite values.
+def _tie_ranks(xs: np.ndarray) -> np.ndarray:
+    """Doubled ranks of the sorted values xs, in order, each tie group given twice its mean rank."""
+    # tie groups are the runs of equal sorted values
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], xs.size)
+    # ranks starts+1 .. ends have the mean (starts + 1 + ends) / 2
+    return np.repeat(starts + 1 + ends, ends - starts)
 
-    The rows are ordered by ``_argsort_rows``, a sort of packed keys; a row
-    with ties is ranked again by ``_doubled_ranks`` itself. The Monte Carlo
-    engine ranks its y margins with it; its x margins need only the order.
+
+def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
+    """Doubled ranks of each row of the 2-D array x of finite values.
+
+    Doubled ranks are twice the ranks 1..n as integers, each tie group given
+    twice its mean rank. A row is ordered by ``_argsort_rows``, the package's
+    only ranker; a row with ties takes its mid-ranks from the tie groups of
+    its values in that order.
     """
     order, tied = _argsort_rows(x)
     m = np.empty(x.shape, dtype=np.intp)
@@ -186,8 +150,32 @@ def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
     for row, o in zip(m, order):  # cheaper than np.put_along_axis at n = 2000
         row[o] = ranks
     for k in tied:
-        m[k] = _doubled_ranks(x[k])
+        m[k, order[k]] = _tie_ranks(x[k, order[k]])
     return m
+
+
+def _rank_pair_rows(x: np.ndarray, y: np.ndarray):
+    """Yield the rank-table rows of each row of the (r, n) arrays x and y, in x-rank order.
+
+    Row m - 2 of a :func:`rank_table` holds the factors of doubled rank m.
+    A row with untied x gives ``(None, ys)``: ys[k] is the row of the y
+    factors of its observation of x-rank k + 1, whose x factors are row 2k.
+    A row with tied x gives the rows ``(xs, ys)`` of its pairs, sorted by
+    x-rank and then by y-rank. Either way the estimator sums in this order,
+    so a surface depends only on the set of rank pairs.
+    """
+    order, tied = _argsort_rows(x)
+    ys = _doubled_rank_rows(y) - 2
+    span = 2 * x.shape[1]  # exceeds every table row index
+    tied = set(tied.tolist())
+    for k, o in enumerate(order):
+        if k in tied:
+            # sort the pairs as the integers mx * span + my, in (mx, my) order
+            pairs = (_tie_ranks(x[k, o]) - 2) * span + ys[k, o]
+            pairs.sort()
+            yield np.divmod(pairs, span)
+        else:
+            yield None, ys[k].take(o)
 
 
 def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
@@ -212,9 +200,15 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     Returns the (|knots|, |knots|) surface, values[i, j] = Chat(knots[i], knots[j]).
     """
     knots = _check_knots(knots)
-    denom = 2.0 * (sample.n + 1)
-    return _mean_product(lambda m: _factors(knots, m / denom, h),
-                         *_rank_pairs(sample.xs, sample.ys))
+    n = sample.n
+    (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
+    if xs is None:
+        xs = np.arange(0, 2 * n, 2)
+
+    def factors(rows):  # what rows of the rank table of n, h and knots hold
+        return _factors(knots, (rows + 2) / (2.0 * (n + 1)), h)
+
+    return _block_sum((factors(xs[s]), factors(ys[s])) for s in _blocks(n)) / n
 
 
 def _check_bandwidth(h) -> None:
@@ -234,20 +228,6 @@ def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     return epanechnikov_cdf(
         (normal_quantile(knots)[None, :] - normal_quantile(points)[:, None]) / h
     )
-
-
-def _mean_product(factors, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i factors(mx_i) factors(my_i)^T over pairs of doubled ranks, in the order given.
-
-    The estimator's double sum separates per axis. ``factors`` maps doubled
-    ranks m to the (len(m), knots) factors of m / (2(n + 1)); estimate_grid
-    evaluates them and rank_estimate gathers row m - 2 of a rank table,
-    so the two agree bit for bit. Both pass the pairs of ``_rank_pairs``,
-    sorted by (mx, my), so the sum does not depend on the sample's row
-    order. Blocks of _BLOCK pairs are added in order, so memory is
-    O(|knots|·_BLOCK) for any n.
-    """
-    return _block_sum((factors(mx[s]), factors(my[s])) for s in _blocks(mx.size)) / mx.size
 
 
 def _blocks(n: int):
@@ -270,6 +250,19 @@ def _block_sum(blocks) -> np.ndarray:
                 product[i:i + _TILE, j:j + _TILE] = fx[:, i:i + _TILE].T @ fy[:, j:j + _TILE]
         total += product
     return total
+
+
+def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys) -> np.ndarray:
+    """Estimate surface of one ``_rank_pair_rows`` item (xs, ys), looked up in a rank table.
+
+    The mean of table[xs_i]^T table[ys_i], summed in blocks as
+    :func:`estimate_grid` sums; ``even`` is ``table[0::2]`` as a contiguous
+    array, the x factors in order when xs is None.
+    """
+    n = len(ys)
+    # ranks are in range, so "clip" only skips the bounds check
+    return _block_sum((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
+                       table.take(ys[s], axis=0, mode="clip")) for s in _blocks(n)) / n
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
@@ -300,7 +293,8 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     sample = PairedSample(xs, ys)
     if sample.n != n:
         raise ValueError(f"xs and ys must have the table's size {n}, not {sample.n}")
-    return _mean_product(lambda m: table[m - 2], *_rank_pairs(sample.xs, sample.ys))
+    (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
+    return _table_sum(table, np.ascontiguousarray(table[0::2]), xs, ys)
 
 
 def default_bandwidth(n: int) -> float:

@@ -14,11 +14,12 @@ depend on theta), one task per (theta, n, chunk) in that order, and one
 map over all tasks. A task is a chunk of up to ``REPLICATE_CHUNK``
 replicates and runs each layer once per row block of about ``_ROW_BLOCK``
 draws: one Philox generator re-keyed per replicate, one Frank sampler call
-and one rank pass over (replicates, n) arrays. Every experiment reads a
-replicate as its rank-table rows in x-rank order (``_rank_rows``), the
-order in which the estimator sums: the x factors of an untied replicate
-are then the table's even rows in order, so only its y rows are gathered.
-Coverage and the lil check run the blocked product per replicate;
+and one rank pass over (replicates, n) arrays, the estimator's own
+``_rank_pair_rows``. Every experiment reads a replicate as its rank-table
+rows in x-rank order (``_rank_rows``), the order in which the estimator
+sums: the x factors of an untied replicate are then the table's even rows
+in order, so only its y rows are gathered. Coverage and the lil check sum
+each replicate with ``_table_sum``, as ``rank_estimate`` does;
 coverage workers return counts, and the lil check concatenates one cell's
 chunk stacks at a time. The bias check forms no surface per replicate:
 its workers return each replicate's rank-table rows, and the parent folds
@@ -50,10 +51,9 @@ from itertools import islice
 
 import numpy as np
 
-from .bands import BandMethod, BandSpec, covers, half_width, rn
+from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import _argsort_rows, _block_sum, _blocks, _doubled_rank_rows, _doubled_ranks
-from .estimator import _lexsorted
+from .estimator import _block_sum, _blocks, _rank_pair_rows, _table_sum
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ValueError("thetas must be a nonempty list of finite reals")
         if any(abs(t) > THETA_MAX for t in thetas):
             raise ValueError(f"|theta| must be <= {THETA_MAX:g} (exp overflow in the sampler)")
-        if not self.ns or any(n < 16 for n in self.ns):
-            raise ValueError("all sample sizes must be >= 16")
+        if not self.ns or any(n < MIN_N for n in self.ns):
+            raise ValueError(f"all sample sizes must be >= {MIN_N}")
         for name, values in (("thetas", thetas), ("ns", self.ns)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value")
@@ -257,46 +257,28 @@ def _rank_rows(args):
 
     ``args`` starts with the stream fields (seed, theta, theta_idx, n, n_idx,
     r0, r1). Each block of about ``_ROW_BLOCK`` draws runs one keyed draw,
-    one Frank sampler call and one rank pass over its rows: u is only
-    ordered, v is ranked. A replicate gives ``(None, ys)``: ys[k] is the row
-    of the y factors of its observation of x-rank k + 1, whose x factors are
-    row 2k. A replicate with tied u gives the rows ``(xs, ys)`` of its pairs
-    of doubled ranks, sorted by x-rank and then by y-rank. Either way the
-    rows come in the order in which ``rank_estimate`` sums.
+    one Frank sampler call and one ``_rank_pair_rows`` pass over its rows,
+    which yields each replicate's rows in the order in which
+    ``rank_estimate`` sums.
     """
     (seed, theta, theta_idx, n, n_idx, r0, r1) = args[:7]
     rows = max(1, _ROW_BLOCK // n)
     for b in range(r0, r1, rows):
         u, w = _keyed_draws(seed, theta_idx, n_idx, b, min(b + rows, r1), n)
-        order, tied = _argsort_rows(u)
-        ys = _doubled_rank_rows(frank_conditional_sample(theta, u, w)) - 2
-        tied = set(tied.tolist())
-        for k in range(len(u)):
-            if k in tied:
-                yield _lexsorted(_doubled_ranks(u[k]) - 2, ys[k])
-            else:
-                yield None, ys[k].take(order[k])
+        yield from _rank_pair_rows(u, frank_conditional_sample(theta, u, w))
 
 
 def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
 
     Draws, the Frank sampler and the ranks run once per row block; each
-    replicate then adds the blocks of its ``_rank_rows`` as
-    ``rank_estimate`` does, so its surface has the same bits. An untied
-    replicate's x factors are slices of the table's even rows, and only its
-    y rows are gathered.
+    replicate then ends in ``_table_sum`` as ``rank_estimate`` does, so its
+    surface has the same bits. An untied replicate's x factors are slices
+    of the table's even rows, and only its y rows are gathered.
     """
     table = args[7]
-    even = np.ascontiguousarray(table[0::2])  # x factors of x-ranks 1..n, in order
-    n = len(even)
-    surfaces = []
-    for xs, ys in _rank_rows(args):
-        fx = even if xs is None else table[xs]
-        # ranks are in range, so "clip" only skips the bounds check
-        blocks = ((fx[s], table.take(ys[s], axis=0, mode="clip")) for s in _blocks(n))
-        surfaces.append(_block_sum(blocks) / n)
-    return np.array(surfaces)
+    even = np.ascontiguousarray(table[0::2])
+    return np.array([_table_sum(table, even, xs, ys) for xs, ys in _rank_rows(args)])
 
 
 def _bias_chunk(args):

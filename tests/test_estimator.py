@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from copbands import estimator
 from copbands.bands import BandMethod, BandSpec, half_width, rn
@@ -36,7 +37,12 @@ def _frank_sample(theta, n, seed):
 
 def _pseudo(x):
     """Pseudo-observations rank/(n+1) of one margin, as the estimator takes them."""
-    return estimator._doubled_ranks(x) / (2.0 * (x.size + 1))
+    return estimator._doubled_rank_rows(x[None])[0] / (2.0 * (x.size + 1))
+
+
+def _doubled_ranks(x):
+    """Twice scipy's average ranks of x, as integers: the reference for doubled ranks."""
+    return (2 * rankdata(x, method="average")).astype(np.intp)
 
 
 # ------------------------------------------------------------ PairedSample
@@ -73,8 +79,6 @@ def test_pseudo_sample_ties_use_mid_ranks():
 
 
 def test_pseudo_sample_matches_scipy_average_ranks():
-    from scipy.stats import rankdata
-
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(2, 300))
@@ -101,7 +105,7 @@ def test_rank_rows_fall_back_on_ties():
     m = estimator._doubled_rank_rows(x)
     assert m.dtype == np.intp
     for row, ranks in zip(x, m):
-        np.testing.assert_array_equal(ranks, estimator._doubled_ranks(row))
+        np.testing.assert_array_equal(ranks, _doubled_ranks(row))
 
 
 # values that stress the row sort's packed keys: signed zeros, subnormals,
@@ -158,7 +162,7 @@ def test_rank_rows_sort_every_row(x):
     for k in np.flatnonzero(~has_ties):
         np.testing.assert_array_equal(order[k], np.argsort(x[k]))
     for row, ranks in zip(x, estimator._doubled_rank_rows(x)):
-        np.testing.assert_array_equal(ranks, estimator._doubled_ranks(row))
+        np.testing.assert_array_equal(ranks, _doubled_ranks(row))
 
 
 # ------------------------------------------- one point of estimate_grid
@@ -330,6 +334,24 @@ def test_estimate_grid_rejects_bad_inputs():
 # ------------------------------------------------------------- rank table
 
 
+def _textbook(xs, ys, h, knots):
+    """The estimator as its textbook double sum, from scipy's average ranks and ndtri.
+
+    The integrated Epanechnikov kernel is written in closed form,
+    (2 + 3t - t^3)/4 on [-1, 1], and the n terms K_x(i) K_y(i) are averaged
+    one knot pair at a time.
+    """
+    def kernel(t):
+        t = np.clip(t, -1.0, 1.0)
+        return 0.25 * (2.0 + 3.0 * t - t**3)
+
+    n = xs.size
+    q = ndtri(knots)
+    fx = kernel((q[None, :] - ndtri(rankdata(xs) / (n + 1))[:, None]) / h)
+    fy = kernel((q[None, :] - ndtri(rankdata(ys) / (n + 1))[:, None]) / h)
+    return np.mean(fx[:, :, None] * fy[:, None, :], axis=0)
+
+
 @pytest.mark.parametrize("n", [16, 50, 500, 513, 2000])  # 513: one 512-row block and one row
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("boundary", [False, True])
@@ -338,6 +360,8 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
     xs = rng.normal(size=n)
     ys = xs + rng.normal(size=n)
     if tied:
+        # one decimal: light ties at n = 16 (12 and 14 values), heavy from
+        # n = 500 (56 and 69 values at n = 513)
         xs, ys = np.round(xs, 1), np.round(ys, 1)
         assert np.unique(xs).size < n and np.unique(ys).size < n
     h = default_bandwidth(n)
@@ -345,6 +369,9 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
     looked_up = rank_estimate(rank_table(n, h, knots), xs, ys)
     direct = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.array_equal(looked_up, direct)
+    # both paths share their ranks, so the tie path is checked against a sum
+    # that shares nothing with them
+    assert np.max(np.abs(direct - _textbook(xs, ys, h, knots))) <= 1e-13
 
 
 def test_estimate_grid_memory_does_not_grow_with_n():
@@ -450,6 +477,7 @@ def test_estimates_do_not_depend_on_row_order(sample):
     grid = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.array_equal(estimate_grid(PairedSample(xs[perm], ys[perm]), h, knots), grid)
     assert np.array_equal(rank_estimate(table, xs[perm], ys[perm]), grid)
+    assert np.max(np.abs(grid - _textbook(xs, ys, h, knots))) <= 1e-13
 
 
 # -------------------------------------------------------- default_bandwidth

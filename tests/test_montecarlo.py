@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from copbands.bands import BandMethod, BandSpec
 from copbands import montecarlo
 from copbands.copula import THETA_MAX, frank_conditional_sample
-from copbands.estimator import _doubled_ranks, default_bandwidth, interior_grid, rank_estimate, rank_table
+from copbands.estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
     WORKERS_ENV,
@@ -486,12 +487,17 @@ def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
     assert run_lil_check(cfg, workers=1) == run_lil_check(cfg, workers=2)
 
 
+def _doubled_ranks(x):
+    """Twice scipy's average ranks of x, as integers: the reference for doubled ranks."""
+    return (2 * rankdata(x, method="average")).astype(np.intp)
+
+
 def _bias_rows_against_argsort(theta, n, coarse=None):
     """Replicates with tied u in the cell's second chunk, whose _bias_chunk rows are checked.
 
     Each replicate's rows must be the integer arrays that np.argsort and
-    _doubled_ranks give on its own draws, in x-rank order, a tie group of
-    x in y-rank order.
+    scipy's average ranks give on its own draws, in x-rank order, a tie
+    group of x in y-rank order.
     """
     seed, i, j = _FOLD_CELL
     r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
@@ -518,7 +524,7 @@ def _bias_rows_against_argsort(theta, n, coarse=None):
 @pytest.mark.parametrize("n", [16, 2000])
 @pytest.mark.parametrize("theta", [-700.0, 0.0, 5.0, 700.0])
 def test_bias_chunk_rows_are_exact(theta, n):
-    # |theta| = 700 ties v, which the row sort hands to _doubled_ranks
+    # |theta| = 700 is THETA_MAX, the sampler's limit; no replicate here has tied v
     assert _bias_rows_against_argsort(theta, n) == 0
 
 
