@@ -29,6 +29,17 @@ ranker: ``_argsort_rows`` sorts the rows of a batch of samples, and
 ``_rank_pair_rows`` turns each row into its rank pairs in that order
 (``estimate_grid`` and ``rank_estimate`` pass a batch of one). A lookup
 in a rank table ends in ``_table_sum``, the one sum over table rows.
+
+Every sum of blocks ends in ``_block_sum``. A block's (G, G) product
+fx^T fy is built from tiles of at most 33 knots per side, one BLAS call
+each, so it is a single call when G <= 33. A tile stays on one BLAS
+thread, while a single call on a larger grid is split across threads
+from 45 knots and sums in another order, so no estimate depends on the
+BLAS thread count at any G (checked from 2 to 99 knots). The first block's product is
+written where the sum goes and later blocks are added to it in order,
+which gives the bits of a sum from 0.0 because the products are >= 0.
+The BLAS build and the CPU kernel it selects can still move the last
+bits.
 """
 
 from __future__ import annotations
@@ -50,10 +61,8 @@ __all__ = [
     "interior_grid",
 ]
 
-# Observations per block of the estimator sum. Each block's (G, G) product is
-# built from (33, 512) @ (512, 33) tiles, which stay on one BLAS thread, so
-# the sum does not depend on the thread count at any G (checked from 2 to 99
-# knots); a single (G, 512) @ (512, G) call splits across threads from G = 45.
+# Observations per block of the estimator sum, and knots per side of a
+# product's tiles (see the module docstring).
 _BLOCK = 512
 _TILE = 33
 
@@ -235,34 +244,41 @@ def _blocks(n: int):
     return (slice(b, b + _BLOCK) for b in range(0, n, _BLOCK))
 
 
-def _block_sum(blocks) -> np.ndarray:
-    """Sum of fx^T fy over (fx, fy) pairs of (rows, G) tables, added in order from 0.0.
+def _block_sum(blocks, out=None) -> np.ndarray:
+    """Sum of fx^T fy over the (fx, fy) pairs of (rows, G) tables, added in order.
 
-    Each product is filled from tiles of at most _TILE knots per side; up to
-    _TILE knots it is a single call.
+    Returns ``out``, or a new (G, G) array if it is None, holding the sum,
+    undivided: the first product is written into it, and each later one
+    into one reused buffer and then added to it.
     """
-    total = 0.0
-    for fx, fy in blocks:
+    product = out
+    for k, (fx, fy) in enumerate(blocks):
         g = fx.shape[1]
-        product = np.empty((g, g))
+        if product is None:
+            product = np.empty((g, g))
         for i in range(0, g, _TILE):
             for j in range(0, g, _TILE):
-                product[i:i + _TILE, j:j + _TILE] = fx[:, i:i + _TILE].T @ fy[:, j:j + _TILE]
-        total += product
-    return total
+                np.matmul(fx[:, i:i + _TILE].T, fy[:, j:j + _TILE],
+                          out=product[i:i + _TILE, j:j + _TILE])
+        if k == 0:
+            out, product = product, None
+        else:
+            out += product
+    return out
 
 
-def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys) -> np.ndarray:
-    """Estimate surface of one ``_rank_pair_rows`` item (xs, ys), looked up in a rank table.
+def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys, out=None) -> np.ndarray:
+    """n times the estimate surface of one ``_rank_pair_rows`` item (xs, ys), from a rank table.
 
-    The mean of table[xs_i]^T table[ys_i], summed in blocks as
-    :func:`estimate_grid` sums; ``even`` is ``table[0::2]`` as a contiguous
-    array, the x factors in order when xs is None.
+    The sum of table[xs_i]^T table[ys_i] over the n observations, summed in
+    blocks as :func:`estimate_grid` sums and written into ``out`` as
+    :func:`_block_sum` writes it; the caller divides by n. ``even`` is
+    ``table[0::2]`` as a contiguous array, the x factors in order when xs
+    is None.
     """
-    n = len(ys)
     # ranks are in range, so "clip" only skips the bounds check
-    return _block_sum((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
-                       table.take(ys[s], axis=0, mode="clip")) for s in _blocks(n)) / n
+    return _block_sum(((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
+                        table.take(ys[s], axis=0, mode="clip")) for s in _blocks(len(ys))), out)
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
@@ -294,7 +310,7 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     if sample.n != n:
         raise ValueError(f"xs and ys must have the table's size {n}, not {sample.n}")
     (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
-    return _table_sum(table, np.ascontiguousarray(table[0::2]), xs, ys)
+    return _table_sum(table, np.ascontiguousarray(table[0::2]), xs, ys) / n
 
 
 def default_bandwidth(n: int) -> float:

@@ -29,10 +29,8 @@ Determinism contract: replicate r of cell (theta_i, n_j) draws from a
 counter-based generator keyed by (master seed, i, j, r), replicates are
 dispatched in fixed-size chunks, and reductions run in submission order.
 Reports are therefore bit-identical for any worker count and any BLAS
-thread count, on every grid (checked from 2 to 99 knots): the estimate
-sums its matrix products over blocks of 512 observations and builds each
-from tiles of at most 33 knots, small enough to stay on one BLAS thread.
-The BLAS build and the CPU kernel it selects can still move the last bits.
+thread count, on every grid, since the estimator's products do not depend
+on the BLAS thread count (see ``copbands.estimator``).
 The worker count defaults to the ``COPBANDS_WORKERS`` environment variable,
 an integer >= 1 (1 if unset); a single worker runs in-process with no pool,
 more workers share one process pool per run, of at most one process per
@@ -271,14 +269,20 @@ def _rank_rows(args):
 def _grid_chunk(args):
     """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
 
-    Draws, the Frank sampler and the ranks run once per row block; each
-    replicate then ends in ``_table_sum`` as ``rank_estimate`` does, so its
-    surface has the same bits. An untied replicate's x factors are slices
-    of the table's even rows, and only its y rows are gathered.
+    Returns one (r1 - r0, G, G) stack: each replicate's ``_table_sum`` is
+    written into its slot, and the whole stack is divided by n once, so
+    each surface has the bits of ``rank_estimate``.
     """
-    table = args[7]
+    n, r0, r1, table = args[3], args[5], args[6], args[7]
     even = np.ascontiguousarray(table[0::2])
-    return np.array([_table_sum(table, even, xs, ys) for xs, ys in _rank_rows(args)])
+    rows = list(_rank_rows(args))
+    # allocated once the draws' and ranks' temporaries are freed; allocated
+    # before them, it doubled the minor page faults of a coverage pass
+    stack = np.empty((r1 - r0, table.shape[1], table.shape[1]))
+    for surface, (xs, ys) in zip(stack, rows):
+        _table_sum(table, even, xs, ys, surface)
+    stack /= n
+    return stack
 
 
 def _bias_chunk(args):

@@ -374,6 +374,66 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
     assert np.max(np.abs(direct - _textbook(xs, ys, h, knots))) <= 1e-13
 
 
+def _tiled_sum(blocks):
+    """Reference for ``estimator._block_sum``: from 0.0, in 33-knot tiles, a new product per block."""
+    total = 0.0
+    for fx, fy in blocks:
+        g = fx.shape[1]
+        product = np.empty((g, g))
+        for i in range(0, g, 33):
+            for j in range(0, g, 33):
+                product[i:i + 33, j:j + 33] = fx[:, i:i + 33].T @ fy[:, j:j + 33]
+        total += product
+    return total
+
+
+def _tiled_estimate(table, xs, ys):
+    """Surface of the raw sample (xs, ys) from its rank-table rows, summed by _tiled_sum."""
+    (mx, my), = estimator._rank_pair_rows(np.asarray(xs)[None], np.asarray(ys)[None])
+    n = my.size
+    if mx is None:
+        mx = np.arange(0, 2 * n, 2)
+    blocks = [slice(b, b + 512) for b in range(0, n, 512)]
+    return _tiled_sum((table[mx[s]], table[my[s]]) for s in blocks) / n
+
+
+@pytest.mark.parametrize("n", [16, 50, 512, 513, 2000])
+@pytest.mark.parametrize("g", [2, 33, 34, 45, 99])
+def test_estimates_keep_the_bits_of_a_tiled_sum_from_zero(n, g):
+    # the first product starts the sum: the same bits, since 0.0 + P == P
+    # for P >= 0, and every tile is the same BLAS call
+    rng = np.random.default_rng(100 * n + g)
+    h, knots = default_bandwidth(n), interior_grid(g)
+    table = rank_table(n, h, knots)
+    for tied in (False, True):
+        xs = rng.normal(size=n)
+        ys = xs + rng.normal(size=n)
+        if tied:  # half-unit steps tie both margins at every n here
+            xs, ys = np.floor(2.0 * xs) / 2.0, np.floor(2.0 * ys) / 2.0
+            assert np.unique(xs).size < n and np.unique(ys).size < n
+        reference = _tiled_estimate(table, xs, ys)
+        assert np.array_equal(estimate_grid(PairedSample(xs, ys), h, knots), reference)
+        assert np.array_equal(rank_estimate(table, xs, ys), reference)
+
+
+@pytest.mark.parametrize("n", [50, 513])
+def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(n):
+    # each replicate's sum is written into its slot and the stack divided by n once
+    from copbands import montecarlo
+    from copbands.copula import frank_conditional_sample
+
+    table = rank_table(n, default_bandwidth(n), interior_grid(33))
+    seed, theta, r0, r1 = 2**33 + 5, 1.0, 64, 128
+    stack = montecarlo._grid_chunk((seed, theta, 0, n, 1, r0, r1, table))
+    reference = []
+    for r in range(r0, r1):
+        rng = montecarlo._replicate_rng(seed, 0, 1, r)
+        u = rng.random(n)
+        reference.append(_tiled_estimate(table, u, frank_conditional_sample(theta, u, rng.random(n))))
+    assert stack.shape == (r1 - r0, 33, 33)
+    assert np.array_equal(stack, reference)
+
+
 def test_estimate_grid_memory_does_not_grow_with_n():
     # whole (33, n) factor tables peaked at 127 MiB in this test; 512-row blocks need 5
     rng = np.random.default_rng(0)
@@ -389,16 +449,18 @@ def test_estimate_grid_memory_does_not_grow_with_n():
 
 def test_estimate_grid_does_not_depend_on_blas_threads():
     # OpenBLAS reads its thread count once, at import. A block's product is
-    # built from 33-knot tiles, which stay on one BLAS thread; one untiled
-    # call is split across threads from 45 knots up and the last bits move.
+    # one call up to 33 knots and built from 33-knot tiles beyond, which stay
+    # on one BLAS thread; one untiled call is split across threads from 45
+    # knots up and the last bits move.
     code = (
         "import hashlib\n"
         "import numpy as np\n"
         "from copbands.estimator import PairedSample, default_bandwidth, estimate_grid, interior_grid\n"
-        "for n in (513, 2000):\n"
+        "grids = (33, 36, 44, 45, 50, 65, 99)\n"
+        "for n, gs in ((50, (2, 17, 33)), (500, (2, 17, 33)), (513, grids), (2000, grids)):\n"
         "    rng = np.random.default_rng(n)\n"
         "    sample = PairedSample(rng.random(n), rng.random(n))\n"
-        "    for g in (33, 36, 44, 45, 50, 65, 99):\n"
+        "    for g in gs:\n"
         "        grid = estimate_grid(sample, default_bandwidth(n), interior_grid(g))\n"
         "        print(n, g, hashlib.sha256(grid.tobytes()).hexdigest())\n"
     )
@@ -411,7 +473,7 @@ def test_estimate_grid_does_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 14
+    assert len(outputs[0].splitlines()) == 20
 
 
 def test_rank_table_shape_and_rejects_bad_inputs():

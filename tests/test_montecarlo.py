@@ -410,15 +410,38 @@ def test_bias_check_does_not_depend_on_blas_threads():
     assert "DeviationRow" in one and len(one.splitlines()) == 2
 
 
+def test_coverage_does_not_depend_on_blas_threads():
+    # the benchmark's coverage configuration; counts hide the last bits, so the
+    # bytes of each cell's first chunk stack are compared too
+    one, two = _stdout_under_blas_threads(
+        "import hashlib\n"
+        "from copbands import montecarlo as mc\n"
+        "from copbands.bands import BandMethod, BandSpec\n"
+        "from copbands.estimator import default_bandwidth, interior_grid, rank_table\n"
+        "specs = (BandSpec(BandMethod.LIL), BandSpec(BandMethod.NORMAL))\n"
+        "cfg = mc.ExperimentConfig(thetas=(-2.0, 1.0, 10.0), ns=(50, 500), B=64, seed=0,\n"
+        "                          band_specs=specs)\n"
+        "print(repr(mc.run_coverage(cfg, workers=1)))\n"
+        "for i, theta in enumerate(cfg.thetas):\n"
+        "    for j, n in enumerate(cfg.ns):\n"
+        "        table = rank_table(n, default_bandwidth(n), interior_grid(33))\n"
+        "        stack = mc._grid_chunk((0, theta, i, n, j, 0, 64, table))\n"
+        "        print(hashlib.sha256(stack.tobytes()).hexdigest())\n"
+    )
+    assert one == two
+    assert "CoverageRow" in one and len(one.splitlines()) == 7
+
+
 _FOLD_CELL = (2**40 + 1, 3, 1)  # seed, theta index, n index
 
 
-def _fold_draws(theta, n, r, coarse=None):
-    """u and the Frank v of replicate r of the fold tests' cell."""
+def _fold_draws(theta, n, r, coarse_u=None, coarse_v=None):
+    """u and the Frank v of replicate r of the fold tests' cell, each through its map if given."""
     rng = _replicate_rng(*_FOLD_CELL, r)
     u = rng.random(n)
-    u = coarse(u) if coarse else u
-    return u, frank_conditional_sample(theta, u, rng.random(n))
+    u = coarse_u(u) if coarse_u else u
+    v = frank_conditional_sample(theta, u, rng.random(n))
+    return u, coarse_v(v) if coarse_v else v
 
 
 def _fold_against_rank_estimates(theta, n, B, coarse=None):
@@ -462,6 +485,22 @@ def coarse_u(monkeypatch):
     return coarse
 
 
+@pytest.fixture
+def coarse_v(monkeypatch):
+    """Puts the engine's Frank v on a grid of 64 values and returns that map.
+
+    The grid ties v in most n = 16 replicates but not all, while u stays untied.
+    """
+    def coarse(v):
+        return np.floor(v * 64.0) / 64.0
+
+    def coarse_sample(theta, u, w):
+        return coarse(frank_conditional_sample(theta, u, w))
+
+    monkeypatch.setattr(montecarlo, "frank_conditional_sample", coarse_sample)
+    return coarse
+
+
 def test_bias_fold_handles_tied_u(coarse_u):
     B = 2 * REPLICATE_CHUNK
     gap, tied = _fold_against_rank_estimates(1.0, 16, B, coarse_u)
@@ -469,8 +508,12 @@ def test_bias_fold_handles_tied_u(coarse_u):
     assert 0 < tied < B
 
 
-def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
-    # a replicate with tied u takes the lexsorted-pairs path of the engine
+def _grid_chunk_against_rank_estimate(coarse_u=None, coarse_v=None):
+    """Replicates with a tied margin in the cell's second chunk, whose _grid_chunk surfaces are checked.
+
+    Each surface must equal ``rank_estimate`` on its replicate's own draws,
+    and coverage and lil reports must not depend on the worker count.
+    """
     seed, i, j = _FOLD_CELL
     n, theta = 16, 1.0
     table = rank_table(n, default_bandwidth(n), interior_grid(33))
@@ -478,13 +521,23 @@ def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
     stack = montecarlo._grid_chunk((seed, theta, i, n, j, r0, r1, table))
     tied = 0
     for r, surface in zip(range(r0, r1), stack):
-        u, v = _fold_draws(theta, n, r, coarse_u)
-        tied += np.unique(u).size < n
+        u, v = _fold_draws(theta, n, r, coarse_u, coarse_v)
+        tied += np.unique(u).size < n or np.unique(v).size < n
         assert np.array_equal(surface, rank_estimate(table, u, v))
-    assert 0 < tied < r1 - r0
     cfg = _small_config()
     assert run_coverage(cfg, workers=1) == run_coverage(cfg, workers=2)
     assert run_lil_check(cfg, workers=1) == run_lil_check(cfg, workers=2)
+    return tied
+
+
+def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
+    # a replicate with tied u takes the lexsorted-pairs path of the engine
+    assert 0 < _grid_chunk_against_rank_estimate(coarse_u) < REPLICATE_CHUNK
+
+
+def test_chunk_engine_matches_rank_estimate_with_tied_v(coarse_v):
+    # a replicate with tied v takes the mid-ranks of its y tie groups; u stays untied
+    assert 0 < _grid_chunk_against_rank_estimate(coarse_v=coarse_v) < REPLICATE_CHUNK
 
 
 def _doubled_ranks(x):
@@ -492,8 +545,8 @@ def _doubled_ranks(x):
     return (2 * rankdata(x, method="average")).astype(np.intp)
 
 
-def _bias_rows_against_argsort(theta, n, coarse=None):
-    """Replicates with tied u in the cell's second chunk, whose _bias_chunk rows are checked.
+def _bias_rows_against_argsort(theta, n, coarse_u=None, coarse_v=None):
+    """Replicates with a tied margin in the cell's second chunk, whose _bias_chunk rows are checked.
 
     Each replicate's rows must be the integer arrays that np.argsort and
     scipy's average ranks give on its own draws, in x-rank order, a tie
@@ -505,14 +558,14 @@ def _bias_rows_against_argsort(theta, n, coarse=None):
     assert len(rows) == r1 - r0
     tied = 0
     for r, (xs, ys) in zip(range(r0, r1), rows):
-        u, v = _fold_draws(theta, n, r, coarse)
+        u, v = _fold_draws(theta, n, r, coarse_u, coarse_v)
         my = _doubled_ranks(v) - 2
         assert ys.dtype.kind == "i"
+        tied += np.unique(u).size < n or np.unique(v).size < n
         if np.unique(u).size == n:
             assert xs is None
             assert np.array_equal(ys, my[np.argsort(u)])
         else:
-            tied += 1
             assert xs.dtype.kind == "i"
             mx = _doubled_ranks(u) - 2
             order = np.lexsort((my, mx))
@@ -530,6 +583,10 @@ def test_bias_chunk_rows_are_exact(theta, n):
 
 def test_bias_chunk_rows_are_exact_with_tied_u(coarse_u):
     assert 0 < _bias_rows_against_argsort(1.0, 16, coarse_u) < REPLICATE_CHUNK
+
+
+def test_bias_chunk_rows_are_exact_with_tied_v(coarse_v):
+    assert 0 < _bias_rows_against_argsort(1.0, 16, coarse_v=coarse_v) < REPLICATE_CHUNK
 
 
 def test_bias_check_memory_does_not_grow_with_b():
