@@ -115,5 +115,7 @@ def covers(estimates, half_width, truth) -> np.ndarray:
     truth = np.asarray(truth)
     if estimates.shape[-2:] != truth.shape:
         raise ValueError("truth grid does not match the estimate grid")
-    inside = (estimates - half_width <= truth) & (truth <= estimates + half_width)
+    bound = np.subtract(estimates, half_width)  # one buffer for both band edges
+    inside = bound <= truth
+    inside &= truth <= np.add(estimates, half_width, out=bound)
     return np.all(inside, axis=(-2, -1))

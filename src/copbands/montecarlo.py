@@ -220,17 +220,14 @@ def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int) -> int:
     )
 
 
-def _replicate_rng(seed: int, theta_idx: int, n_idx: int, r: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, theta_idx, n_idx, r)))
-
-
 def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int):
     """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one Philox.
 
-    Row k holds what ``_replicate_rng(seed, theta_idx, n_idx, r0 + k)``
-    draws first and second: a Philox stream is a pure function of its key
-    and counter, so resetting the state to a new key, a zero counter and an
-    empty buffer starts that replicate's stream without a new generator.
+    Row k holds what a Philox generator keyed by ``_stream_key(seed,
+    theta_idx, n_idx, r0 + k)`` draws first and second: a Philox stream is
+    a pure function of its key and counter, so resetting the state to a new
+    key, a zero counter and an empty buffer starts that replicate's stream
+    without a new generator.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
     u = np.empty((r1 - r0, n))

@@ -7,11 +7,12 @@ see README.md for the experiment definitions.
 
 Acceptance 1 and 2 require the harness's coverage counts to equal those
 of an independent reproduction of the documented experiment
-(``_reference_cell``), which shares only the replicate streams and their
-draw order with the harness. The fixed reference levels of an unrecorded
-protocol survive as one-sided clauses: lil coverage stays at or above
-``LIL_TARGET - LIL_TOL`` and normal joint coverage below the nominal
-level. README.md, "Reference coverage levels", gives the evidence.
+(``_reference_cell``), which shares with the harness only the documented
+layout of the replicate stream key and the draw order (u, then w). The
+fixed reference levels of an unrecorded protocol survive as one-sided
+clauses: lil coverage stays at or above ``LIL_TARGET - LIL_TOL`` and
+normal joint coverage below the nominal level. README.md, "Reference
+coverage levels", gives the evidence.
 """
 
 import os
@@ -23,15 +24,10 @@ import pytest
 from scipy.special import ndtri
 
 import copbands as cb
+import reference
 from copbands.bands import BandMethod, BandSpec
 from copbands.estimator import PairedSample, interior_grid, rank_estimate, rank_table
-from copbands.montecarlo import (
-    ExperimentConfig,
-    run_bias_check,
-    run_coverage,
-    run_lil_check,
-    _replicate_rng,
-)
+from copbands.montecarlo import ExperimentConfig, run_bias_check, run_coverage, run_lil_check
 
 SEED = 20260814
 THETAS = (-2.0, 1.0, 10.0)
@@ -64,8 +60,9 @@ def _report(line):
 
 
 # Independent reference: textbook Frank closed forms, argsort ranks,
-# scipy's ndtri and a per-n kernel table indexed by rank. Nothing below
-# calls into copbands except the replicate stream.
+# scipy's ndtri and a per-n kernel table indexed by rank. _reference_cell
+# calls nothing in copbands; it draws each replicate through
+# ``reference.draws``, keyed as the README's determinism contract states.
 
 
 def _ref_frank_cdf(theta, u, v):
@@ -97,10 +94,9 @@ def _ref_sigma2(theta, u, v):
     return np.einsum("i...,ij...,j...->...", weights, cov, weights)
 
 
-def _draw_sample(theta, n, rng):
+def _draw_sample(theta, n, seed, theta_idx, n_idx, r):
     """Sample of one harness replicate: u, then w, then v = C_u^-1(w | u)."""
-    u = rng.random(n)
-    w = rng.random(n)
+    u, w = reference.draws(seed, theta_idx, n_idx, r, n)
     return PairedSample(u, cb.frank_conditional_sample(theta, u, w))
 
 
@@ -133,9 +129,7 @@ def _reference_cell(theta_idx, theta, n_idx, n):
     normal_half = ndtri(0.5 + 0.5 * REF_CONFIDENCE) * np.sqrt(sigma2 / n)
     counts = {"lil": 0, "normal": 0}
     for r in range(B):
-        rng = _replicate_rng(SEED, theta_idx, n_idx, r)
-        u = rng.random(n)
-        w = rng.random(n)
+        u, w = reference.draws(SEED, theta_idx, n_idx, r, n)
         v = _ref_frank_sample(theta, u, w)
         estimate = table[:, _ref_ranks(u)] @ table[:, _ref_ranks(v)].T / n
         if r == 0:
@@ -187,7 +181,7 @@ def _surface_gaps(reference_table):
         sigma2 = cb.frank_sigma2(theta, knots[:, None], knots[None, :])
         for j, n in enumerate(NS):
             ref = reference_table[(theta, n)]
-            sample = _draw_sample(theta, n, _replicate_rng(SEED, i, j, 0))
+            sample = _draw_sample(theta, n, SEED, i, j, 0)
             h = COVERAGE_CONFIG.bandwidth_for(n)
             estimate = cb.estimate_grid(sample, h, knots)
             for name, got in (("estimate", estimate), ("truth", truth), ("sigma2", sigma2)):
@@ -341,7 +335,7 @@ def test_acceptance_7_variance_oracle():
 
     devs = np.empty((reps, 10))
     for r in range(reps):
-        sample = _draw_sample(theta, n, _replicate_rng(99, 0, 0, r))
+        sample = _draw_sample(theta, n, 99, 0, 0, r)
         grid = rank_estimate(table, sample.xs, sample.ys)
         devs[r] = np.sqrt(n) * (grid[iu, iv] - truth)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
+import reference
 from copbands import estimator
 from copbands.bands import BandMethod, BandSpec, half_width, rn
 from copbands.estimator import (
@@ -163,6 +164,17 @@ def test_rank_rows_sort_every_row(x):
         np.testing.assert_array_equal(order[k], np.argsort(x[k]))
     for row, ranks in zip(x, estimator._doubled_rank_rows(x)):
         np.testing.assert_array_equal(ranks, _doubled_ranks(row))
+    # rank-table rows in x-rank order, a tie group of x in y-rank order
+    y = x[:, ::-1]
+    for row, (tx, ty) in enumerate(estimator._rank_pair_rows(x, y)):
+        mx, my = _doubled_ranks(x[row]) - 2, _doubled_ranks(y[row]) - 2
+        if row in tied:
+            pairs = np.lexsort((my, mx))
+            np.testing.assert_array_equal(tx, mx[pairs])
+            np.testing.assert_array_equal(ty, my[pairs])
+        else:
+            assert tx is None
+            np.testing.assert_array_equal(ty, my[order[row]])
 
 
 # ------------------------------------------- one point of estimate_grid
@@ -334,24 +346,6 @@ def test_estimate_grid_rejects_bad_inputs():
 # ------------------------------------------------------------- rank table
 
 
-def _textbook(xs, ys, h, knots):
-    """The estimator as its textbook double sum, from scipy's average ranks and ndtri.
-
-    The integrated Epanechnikov kernel is written in closed form,
-    (2 + 3t - t^3)/4 on [-1, 1], and the n terms K_x(i) K_y(i) are averaged
-    one knot pair at a time.
-    """
-    def kernel(t):
-        t = np.clip(t, -1.0, 1.0)
-        return 0.25 * (2.0 + 3.0 * t - t**3)
-
-    n = xs.size
-    q = ndtri(knots)
-    fx = kernel((q[None, :] - ndtri(rankdata(xs) / (n + 1))[:, None]) / h)
-    fy = kernel((q[None, :] - ndtri(rankdata(ys) / (n + 1))[:, None]) / h)
-    return np.mean(fx[:, :, None] * fy[:, None, :], axis=0)
-
-
 @pytest.mark.parametrize("n", [16, 50, 500, 513, 2000])  # 513: one 512-row block and one row
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("boundary", [False, True])
@@ -371,7 +365,7 @@ def test_rank_estimate_bit_identical_to_estimate_grid(n, tied, boundary):
     assert np.array_equal(looked_up, direct)
     # both paths share their ranks, so the tie path is checked against a sum
     # that shares nothing with them
-    assert np.max(np.abs(direct - _textbook(xs, ys, h, knots))) <= 1e-13
+    assert np.max(np.abs(direct - reference.textbook(xs, ys, h, knots))) <= 1e-13
 
 
 def _tiled_sum(blocks):
@@ -411,27 +405,25 @@ def test_estimates_keep_the_bits_of_a_tiled_sum_from_zero(n, g):
         if tied:  # half-unit steps tie both margins at every n here
             xs, ys = np.floor(2.0 * xs) / 2.0, np.floor(2.0 * ys) / 2.0
             assert np.unique(xs).size < n and np.unique(ys).size < n
-        reference = _tiled_estimate(table, xs, ys)
-        assert np.array_equal(estimate_grid(PairedSample(xs, ys), h, knots), reference)
-        assert np.array_equal(rank_estimate(table, xs, ys), reference)
+        tiled = _tiled_estimate(table, xs, ys)
+        assert np.array_equal(estimate_grid(PairedSample(xs, ys), h, knots), tiled)
+        assert np.array_equal(rank_estimate(table, xs, ys), tiled)
 
 
+@pytest.mark.parametrize("coarse", ["", "u", "v"], ids=["untied", "coarse_u", "coarse_v"])
 @pytest.mark.parametrize("n", [50, 513])
-def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(n):
-    # each replicate's sum is written into its slot and the stack divided by n once
+def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(monkeypatch, n, coarse):
+    # each replicate's sum is written into its slot and the stack divided by n
+    # once; on a grid of 64 values every replicate ties u or v
     from copbands import montecarlo
-    from copbands.copula import frank_conditional_sample
 
+    reference.coarsen(monkeypatch, coarse)
     table = rank_table(n, default_bandwidth(n), interior_grid(33))
     seed, theta, r0, r1 = 2**33 + 5, 1.0, 64, 128
     stack = montecarlo._grid_chunk((seed, theta, 0, n, 1, r0, r1, table))
-    reference = []
-    for r in range(r0, r1):
-        rng = montecarlo._replicate_rng(seed, 0, 1, r)
-        u = rng.random(n)
-        reference.append(_tiled_estimate(table, u, frank_conditional_sample(theta, u, rng.random(n))))
+    us, vs = reference.sample(seed, 0, 1, range(r0, r1), theta, n, coarse)
     assert stack.shape == (r1 - r0, 33, 33)
-    assert np.array_equal(stack, reference)
+    assert np.array_equal(stack, [_tiled_estimate(table, u, v) for u, v in zip(us, vs)])
 
 
 def test_estimate_grid_memory_does_not_grow_with_n():
@@ -539,7 +531,7 @@ def test_estimates_do_not_depend_on_row_order(sample):
     grid = estimate_grid(PairedSample(xs, ys), h, knots)
     assert np.array_equal(estimate_grid(PairedSample(xs[perm], ys[perm]), h, knots), grid)
     assert np.array_equal(rank_estimate(table, xs[perm], ys[perm]), grid)
-    assert np.max(np.abs(grid - _textbook(xs, ys, h, knots))) <= 1e-13
+    assert np.max(np.abs(grid - reference.textbook(xs, ys, h, knots))) <= 1e-13
 
 
 # -------------------------------------------------------- default_bandwidth

@@ -6,16 +6,18 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from copbands.bands import BandMethod, BandSpec
 from copbands import montecarlo
-from copbands.copula import THETA_MAX, frank_conditional_sample
-from copbands.estimator import default_bandwidth, interior_grid, rank_estimate, rank_table
+from copbands.copula import THETA_MAX
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
     WORKERS_ENV,
@@ -24,7 +26,6 @@ from copbands.montecarlo import (
     run_bias_check,
     run_coverage,
     run_lil_check,
-    _replicate_rng,
     _stream_key,
 )
 
@@ -140,42 +141,34 @@ def test_stream_key_is_injective_across_fields():
 
 
 def test_replicate_streams_are_distinct():
-    a = _replicate_rng(99, 0, 0, 0).random(4)
-    b = _replicate_rng(99, 0, 0, 1).random(4)
-    c = _replicate_rng(99, 0, 1, 0).random(4)
+    (a, b), _ = montecarlo._keyed_draws(99, 0, 0, 0, 2, 4)
+    (c,), _ = montecarlo._keyed_draws(99, 0, 1, 0, 1, 4)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
 
 
 def test_chunk_engine_matches_per_replicate_reference():
-    # one generator, one sampler call and one rank pass per chunk give each
-    # replicate the surface its own stream gives through rank_estimate
-    knots = interior_grid(33)
-    r0, r1 = REPLICATE_CHUNK + 3, 2 * REPLICATE_CHUNK
-    for j, n in enumerate((16, 50, 500, 513, 2000)):
-        table = rank_table(n, default_bandwidth(n), knots)
-        for i, theta in enumerate((-700.0, -2.0, 0.0, 1.0, 10.0, 700.0)):
-            stack = montecarlo._grid_chunk((2**53 + 7, theta, i, n, j, r0, r1, table))
-            reference = []
-            for r in range(r0, r1):
-                rng = _replicate_rng(2**53 + 7, i, j, r)
-                u = rng.random(n)
-                v = frank_conditional_sample(theta, u, rng.random(n))
-                reference.append(rank_estimate(table, u, v))
-            assert np.array_equal(stack, reference), (theta, n)
-    # the state reset keys every field at its widest value as the constructor does
+    # the state reset keys every field at its widest value as a generator
+    # keyed by the documented layout does
     top = (2**64 - 1, 2**16 - 1, 2**16 - 1)
     u, w = montecarlo._keyed_draws(*top, 2**32 - 2, 2**32, 50)
     for k, r in enumerate((2**32 - 2, 2**32 - 1)):
-        rng = _replicate_rng(*top, r)
-        assert np.array_equal(u[k], rng.random(50))
-        assert np.array_equal(w[k], rng.random(50))
+        ref_u, ref_w = reference.draws(*top, r, 50)
+        assert np.array_equal(u[k], ref_u)
+        assert np.array_equal(w[k], ref_w)
 
 
 # ------------------------------------------------------------ run_coverage
 
 
-def test_coverage_deterministic_and_worker_independent():
+# The engine's draws as they come, and with u or v on a grid of 64 values
+# (``reference.coarsen``), which ties most n = 16 replicates but not all.
+_COARSE = pytest.mark.parametrize("coarse", ["", "u", "v"], ids=["untied", "coarse_u", "coarse_v"])
+
+
+@_COARSE
+def test_coverage_deterministic_and_worker_independent(monkeypatch, coarse):
+    reference.coarsen(monkeypatch, coarse)
     cfg = _small_config()
     serial = run_coverage(cfg, workers=1)
     again = run_coverage(cfg, workers=1)
@@ -344,7 +337,9 @@ def test_lil_check_statistics_and_b_guard():
         run_lil_check(_small_config(B=99))
 
 
-def test_lil_check_deterministic_across_workers():
+@_COARSE
+def test_lil_check_deterministic_across_workers(monkeypatch, coarse):
+    reference.coarsen(monkeypatch, coarse)
     cfg = _small_config(ns=(32,), B=128)
     a = run_lil_check(cfg, workers=1)
     b = run_lil_check(cfg, workers=4)
@@ -363,7 +358,9 @@ def test_bias_check_single_statistic_and_b_guard():
         run_bias_check(_small_config(B=999))
 
 
-def test_bias_check_deterministic_across_workers():
+@_COARSE
+def test_bias_check_deterministic_across_workers(monkeypatch, coarse):
+    reference.coarsen(monkeypatch, coarse)
     cfg = _small_config(thetas=(1.0, -2.0), ns=(16, 24), B=1000, grid_resolution=5)
     assert run_bias_check(cfg, workers=1) == run_bias_check(cfg, workers=2)
 
@@ -432,161 +429,49 @@ def test_coverage_does_not_depend_on_blas_threads():
     assert "CoverageRow" in one and len(one.splitlines()) == 7
 
 
-_FOLD_CELL = (2**40 + 1, 3, 1)  # seed, theta index, n index
+@st.composite
+def _oracle_runs(draw):
+    """A two-cell experiment, the B of its coverage and lil runs, and the margins put on a grid.
 
-
-def _fold_draws(theta, n, r, coarse_u=None, coarse_v=None):
-    """u and the Frank v of replicate r of the fold tests' cell, each through its map if given."""
-    rng = _replicate_rng(*_FOLD_CELL, r)
-    u = rng.random(n)
-    u = coarse_u(u) if coarse_u else u
-    v = frank_conditional_sample(theta, u, rng.random(n))
-    return u, coarse_v(v) if coarse_v else v
-
-
-def _fold_against_rank_estimates(theta, n, B, coarse=None):
-    """Max |fold mean - mean of rank_estimate surfaces| over B replicates, and the tied count."""
-    seed, i, j = _FOLD_CELL
-    table = rank_table(n, default_bandwidth(n), interior_grid(33))
-    chunks = [montecarlo._bias_chunk((seed, theta, i, n, j, r0, min(r0 + REPLICATE_CHUNK, B)))
-              for r0 in range(0, B, REPLICATE_CHUNK)]
-    surfaces = [rank_estimate(table, *_fold_draws(theta, n, r, coarse)) for r in range(B)]
-    fold = montecarlo._bias_mean(table, chunks, B)
-    tied = sum(xs is not None for chunk in chunks for xs, _ in chunk)
-    return float(np.max(np.abs(fold - np.mean(surfaces, axis=0)))), tied
-
-
-@pytest.mark.parametrize("n", [16, 513])
-@pytest.mark.parametrize("theta", [-700.0, -2.0, 0.0, 1.0, 10.0, 700.0])
-def test_bias_fold_matches_mean_of_rank_estimates(theta, n):
-    # |theta| = 700 ties v; the fold sums in another order than B surfaces do
-    gap, tied = _fold_against_rank_estimates(theta, n, B=REPLICATE_CHUNK + 9)
-    assert gap <= 1e-14
-    assert tied == 0
-
-
-@pytest.fixture
-def coarse_u(monkeypatch):
-    """Puts the engine's u draws on a grid of 64 values and returns that map.
-
-    The grid ties most n = 16 replicates but not all, so the fold adds rows
-    both ways.
+    Two cells give one a nonzero theta or n index. The bias run takes the
+    config's B >= 1000; coverage and lil read a prefix of its replicates.
     """
-    def coarse(u):
-        return np.floor(u * 64.0) / 64.0
-
-    keyed_draws = montecarlo._keyed_draws
-
-    def coarse_draws(*args):
-        u, w = keyed_draws(*args)
-        return coarse(u), w
-
-    monkeypatch.setattr(montecarlo, "_keyed_draws", coarse_draws)
-    return coarse
+    theta = st.sampled_from([0.0, -700.0, 700.0]) | st.floats(-700.0, 700.0)
+    k = draw(st.integers(1, 2))
+    thetas = draw(st.lists(theta, min_size=k, max_size=k, unique=True))
+    ns = draw(st.lists(st.integers(16, 600), min_size=3 - k, max_size=3 - k, unique=True))
+    config = ExperimentConfig(thetas=thetas, ns=ns, B=draw(st.integers(1000, 1100)),
+                              seed=draw(st.integers(0, 2**64 - 1)), grid_resolution=5,
+                              band_specs=BOTH)
+    return (config, draw(st.integers(1, config.B)), draw(st.integers(100, config.B)),
+            draw(st.sampled_from(["", "u", "v", "uv"])))
 
 
-@pytest.fixture
-def coarse_v(monkeypatch):
-    """Puts the engine's Frank v on a grid of 64 values and returns that map.
-
-    The grid ties v in most n = 16 replicates but not all, while u stays untied.
-    """
-    def coarse(v):
-        return np.floor(v * 64.0) / 64.0
-
-    def coarse_sample(theta, u, w):
-        return coarse(frank_conditional_sample(theta, u, w))
-
-    monkeypatch.setattr(montecarlo, "frank_conditional_sample", coarse_sample)
-    return coarse
-
-
-def test_bias_fold_handles_tied_u(coarse_u):
-    B = 2 * REPLICATE_CHUNK
-    gap, tied = _fold_against_rank_estimates(1.0, 16, B, coarse_u)
-    assert gap <= 1e-14
-    assert 0 < tied < B
-
-
-def _grid_chunk_against_rank_estimate(coarse_u=None, coarse_v=None):
-    """Replicates with a tied margin in the cell's second chunk, whose _grid_chunk surfaces are checked.
-
-    Each surface must equal ``rank_estimate`` on its replicate's own draws,
-    and coverage and lil reports must not depend on the worker count.
-    """
-    seed, i, j = _FOLD_CELL
-    n, theta = 16, 1.0
-    table = rank_table(n, default_bandwidth(n), interior_grid(33))
-    r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
-    stack = montecarlo._grid_chunk((seed, theta, i, n, j, r0, r1, table))
-    tied = 0
-    for r, surface in zip(range(r0, r1), stack):
-        u, v = _fold_draws(theta, n, r, coarse_u, coarse_v)
-        tied += np.unique(u).size < n or np.unique(v).size < n
-        assert np.array_equal(surface, rank_estimate(table, u, v))
-    cfg = _small_config()
-    assert run_coverage(cfg, workers=1) == run_coverage(cfg, workers=2)
-    assert run_lil_check(cfg, workers=1) == run_lil_check(cfg, workers=2)
-    return tied
-
-
-def test_chunk_engine_matches_rank_estimate_with_tied_u(coarse_u):
-    # a replicate with tied u takes the lexsorted-pairs path of the engine
-    assert 0 < _grid_chunk_against_rank_estimate(coarse_u) < REPLICATE_CHUNK
-
-
-def test_chunk_engine_matches_rank_estimate_with_tied_v(coarse_v):
-    # a replicate with tied v takes the mid-ranks of its y tie groups; u stays untied
-    assert 0 < _grid_chunk_against_rank_estimate(coarse_v=coarse_v) < REPLICATE_CHUNK
-
-
-def _doubled_ranks(x):
-    """Twice scipy's average ranks of x, as integers: the reference for doubled ranks."""
-    return (2 * rankdata(x, method="average")).astype(np.intp)
-
-
-def _bias_rows_against_argsort(theta, n, coarse_u=None, coarse_v=None):
-    """Replicates with a tied margin in the cell's second chunk, whose _bias_chunk rows are checked.
-
-    Each replicate's rows must be the integer arrays that np.argsort and
-    scipy's average ranks give on its own draws, in x-rank order, a tie
-    group of x in y-rank order.
-    """
-    seed, i, j = _FOLD_CELL
-    r0, r1 = REPLICATE_CHUNK, 2 * REPLICATE_CHUNK
-    rows = montecarlo._bias_chunk((seed, theta, i, n, j, r0, r1))
-    assert len(rows) == r1 - r0
-    tied = 0
-    for r, (xs, ys) in zip(range(r0, r1), rows):
-        u, v = _fold_draws(theta, n, r, coarse_u, coarse_v)
-        my = _doubled_ranks(v) - 2
-        assert ys.dtype.kind == "i"
-        tied += np.unique(u).size < n or np.unique(v).size < n
-        if np.unique(u).size == n:
-            assert xs is None
-            assert np.array_equal(ys, my[np.argsort(u)])
-        else:
-            assert xs.dtype.kind == "i"
-            mx = _doubled_ranks(u) - 2
-            order = np.lexsort((my, mx))
-            assert np.array_equal(xs, mx[order])
-            assert np.array_equal(ys, my[order])
-    return tied
-
-
-@pytest.mark.parametrize("n", [16, 2000])
-@pytest.mark.parametrize("theta", [-700.0, 0.0, 5.0, 700.0])
-def test_bias_chunk_rows_are_exact(theta, n):
-    # |theta| = 700 is THETA_MAX, the sampler's limit; no replicate here has tied v
-    assert _bias_rows_against_argsort(theta, n) == 0
-
-
-def test_bias_chunk_rows_are_exact_with_tied_u(coarse_u):
-    assert 0 < _bias_rows_against_argsort(1.0, 16, coarse_u) < REPLICATE_CHUNK
-
-
-def test_bias_chunk_rows_are_exact_with_tied_v(coarse_v):
-    assert 0 < _bias_rows_against_argsort(1.0, 16, coarse_v=coarse_v) < REPLICATE_CHUNK
+@settings(max_examples=3, deadline=None)  # with the two examples, about 2.5 s
+@given(_oracle_runs())
+# n = 16 on u's grid mixes tied and untied x replicates in the bias fold
+@example((ExperimentConfig(thetas=(0.0, 700.0), ns=(16,), B=1000, seed=7, grid_resolution=5,
+                           band_specs=BOTH), 65, 100, "u"))
+# 513 splits a chunk into row blocks and crosses a 512-row block of the sum
+@example((ExperimentConfig(thetas=(-700.0,), ns=(16, 513), B=1025, seed=2**64 - 1,
+                           grid_resolution=5, band_specs=BOTH), 1, 129, "uv"))
+def test_runs_match_the_oracle(run):
+    # every run, one worker, against textbook surfaces of independently keyed draws
+    config, b_coverage, b_lil, coarse = run
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reference.coarsen(monkeypatch, coarse)
+        coverage = run_coverage(replace(config, B=b_coverage), workers=1)
+        lil = run_lil_check(replace(config, B=b_lil), workers=1)
+        bias = run_bias_check(config, workers=1)
+    cells = [reference.Cell(config, i, j, config.B, coarse)
+             for i in range(len(config.thetas)) for j in range(len(config.ns))]
+    assert [round(row.coverage * b_coverage) for row in coverage.rows] == [
+        cell.covered(spec, b_coverage) for spec in config.band_specs for cell in cells]
+    assert len(lil.rows) == len(bias.rows) == len(cells)
+    for row, cell in zip(lil.rows, cells):
+        assert np.max(np.abs(np.subtract(row.statistics, cell.lil_statistics(b_lil)))) <= 1e-12
+    for row, cell in zip(bias.rows, cells):
+        assert abs(row.statistics[0] - cell.bias_statistic(config.B)) <= 1e-12
 
 
 def test_bias_check_memory_does_not_grow_with_b():
