@@ -17,9 +17,12 @@ boundary values exact.
 and ``rank_estimate`` split the same arithmetic for many samples of one
 size, tabulating the kernel factors of every possible rank once. Factor
 tables are observation-major, one row per observation or rank, and both
-paths sum over observations in blocks of 512, so memory is O(|knots|·512)
-for any n. The order of the terms is free, and both paths add them in
-x-rank order, a tie group of x in y-rank order: the sum depends only on
+paths sum over observations in blocks of 512. Both take the normal
+quantiles of the knots and of the 2n - 1 rank points from one call, and
+``estimate_grid``'s blocks gather their rows from that vector, so its
+memory is O(n) for the vector plus O(|knots|·512) for the blocks. The
+order of the terms is free, and both paths add them in x-rank order, a
+tie group of x in y-rank order: the sum depends only on
 the set of rank pairs, so a surface has the same bits for every row order
 of its sample, and without ties in x the x factors of the terms are the
 rank table's even rows, in order.
@@ -39,7 +42,8 @@ BLAS thread count at any G (checked from 2 to 99 knots). The first block's produ
 written where the sum goes and later blocks are added to it in order,
 which gives the bits of a sum from 0.0 because the products are >= 0.
 The BLAS build and the CPU kernel it selects can still move the last
-bits.
+bits. So can numpy's ``log`` and ``sqrt`` build: the quantile's tails,
+beyond |p - 1/2| = 0.425, go through them (see ``specfun``).
 """
 
 from __future__ import annotations
@@ -194,7 +198,8 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     numeric data; with continuous margins each pseudo-observation
     coordinate is a permutation of {k/(n+1) : k = 1..n}. The surface is
     invariant under strictly increasing maps of either margin. It costs
-    O(n·|knots|²) flops and O(|knots|·512) memory for any n.
+    O(n·|knots|²) flops, and O(n) memory for the quantile vector plus
+    O(|knots|·512) for the blocks.
 
     Parameters
     ----------
@@ -209,13 +214,15 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     Returns the (|knots|, |knots|) surface, values[i, j] = Chat(knots[i], knots[j]).
     """
     knots = _check_knots(knots)
+    _check_bandwidth(h)
     n = sample.n
     (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
     if xs is None:
         xs = np.arange(0, 2 * n, 2)
+    qk, qp = _quantiles(knots, n)
 
     def factors(rows):  # what rows of the rank table of n, h and knots hold
-        return _factors(knots, (rows + 2) / (2.0 * (n + 1)), h)
+        return _factors(qk, qp.take(rows), h)
 
     return _block_sum((factors(xs[s]), factors(ys[s])) for s in _blocks(n)) / n
 
@@ -226,17 +233,24 @@ def _check_bandwidth(h) -> None:
         raise ValueError("bandwidth h must be positive and finite")
 
 
-def _factors(knots: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """(points, knots) table of kernel factors K((q(t_g) - q(p_i)) / h).
+def _quantiles(knots: np.ndarray, n: int):
+    """Normal quantiles of the knots and of the 2n - 1 rank points, from one call.
+
+    Rank point m - 2 is m / (2(n + 1)), the pseudo-observation of doubled
+    rank m = 2, 3, ..., 2n (odd m: ties).
+    """
+    q = normal_quantile(np.concatenate((knots, np.arange(2, 2 * n + 1) / (2.0 * (n + 1)))))
+    return q[:knots.size], q[knots.size:]
+
+
+def _factors(qk: np.ndarray, qp: np.ndarray, h: float) -> np.ndarray:
+    """(points, knots) table of kernel factors K((qk_g - qp_i) / h) of quantiles.
 
     Observation-major, so a gather of observations copies whole rows.
     +/-inf quantiles of boundary knots hit the kernel's exact 0/1
     plateaus, never a nan.
     """
-    _check_bandwidth(h)
-    return epanechnikov_cdf(
-        (normal_quantile(knots)[None, :] - normal_quantile(points)[:, None]) / h
-    )
+    return epanechnikov_cdf((qk[None, :] - qp[:, None]) / h)
 
 
 def _blocks(n: int):
@@ -285,16 +299,18 @@ def rank_table(n: int, h: float, knots) -> np.ndarray:
     """Kernel factors of every doubled rank m = 2, 3, ..., 2n (odd m: ties).
 
     Row m - 2 holds the factors of the pseudo-observation
-    m / (2(n + 1)), the expression :func:`estimate_grid` evaluates for a
-    value of doubled rank m, so its factor tables for a sample of size n
-    are row gathers of this (2n - 1, knots) table. Build it once per
-    (n, h, knots) and pass it to :func:`rank_estimate`.
+    m / (2(n + 1)), from the quantile vector whose element m - 2
+    :func:`estimate_grid` gathers for a value of doubled rank m, so its
+    factor tables for a sample of size n are row gathers of this
+    (2n - 1, knots) table. Build it once per (n, h, knots) and pass it
+    to :func:`rank_estimate`.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    points = np.arange(2, 2 * n + 1) / (2.0 * (n + 1))
-    return _factors(_check_knots(knots), points, h)
+    knots = _check_knots(knots)
+    _check_bandwidth(h)
+    return _factors(*_quantiles(knots, n), h)
 
 
 def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:

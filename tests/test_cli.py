@@ -253,14 +253,24 @@ def test_required_options(argv, capsys):
     assert "the following arguments are required" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up; the CLI must not need it
-    code = "import sys, copbands, copbands.cli; print('scipy.stats' in sys.modules)"
+def test_estimate_and_bands_runs_load_no_scipy(frank_xy, tmp_path):
+    # importing scipy.special took 0.3 s of start-up; neither the imports
+    # nor a run, with its lazy imports, may bring any scipy module back
+    data = frank_xy(n=40)
+    code = (
+        "import sys, copbands, copbands.cli\n"
+        "data, out = sys.argv[1:]\n"
+        "codes = [copbands.cli.main(['estimate', data, '--out', out]),\n"
+        "         copbands.cli.main(['bands', data, '--method', 'normal', '--theta', '1',\n"
+        "                            '--out', out])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     src = str(Path(copbands.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "o.csv")],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == f"{[EXIT_OK, EXIT_OK]} []"
 
 
 # -------------------------------------------------------------- CSV reader

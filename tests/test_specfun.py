@@ -1,10 +1,47 @@
 """Normal quantile and the integrated Epanechnikov kernel."""
 
+import importlib.util
+import math
+import statistics
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from copbands import PairedSample, default_bandwidth, estimate_grid, rank_estimate, rank_table
 from copbands.specfun import epanechnikov_cdf, normal_quantile
+
+
+@pytest.fixture(scope="module")
+def probabilities():
+    """10^6 uniform points and 10^5 log-uniform points in each tail, down to 1e-300 and up to 1 - 1e-16."""
+    rng = np.random.default_rng(241)
+    p = np.concatenate((rng.random(10**6), 10.0 ** -rng.uniform(0.0, 300.0, 10**5),
+                        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10**5)))
+    assert np.all((p > 0.0) & (p < 1.0))
+    return p
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the last place of ref."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+@pytest.fixture(scope="module")
+def pure_python_inv_cdf():
+    """CPython's pure-Python AS 241, ``statistics._normal_dist_inv_cdf`` without its C twin.
+
+    Python float arithmetic rounds every operation, so its central branch
+    has the bits of IEEE arithmetic in AS 241's order on any machine.
+    """
+    spec = importlib.util.spec_from_file_location("_statistics_pure_python", statistics.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "_statistics", None)  # "from _statistics import ..." raises ImportError
+        spec.loader.exec_module(module)
+    assert module._normal_dist_inv_cdf.__module__ == "_statistics_pure_python"
+    return lambda p: module._normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def test_normal_quantile_matches_reference_quantile():
@@ -39,6 +76,82 @@ def test_normal_quantile_symmetry():
 def test_normal_quantile_roundtrip():
     p = np.linspace(1e-6, 1.0 - 1e-6, 2001)
     np.testing.assert_allclose(ndtr(normal_quantile(p)), p, atol=1e-14)
+
+
+def test_normal_quantile_ulp_error_against_the_standard_library_and_ndtri(probabilities):
+    # the bounds are the measured maxima: 3 ulp against inv_cdf, on the 10
+    # points in the tails where numpy's log and the C library's differ, and
+    # 7 ulp against Cephes' ndtri
+    got = normal_quantile(probabilities)
+    inv_cdf = statistics.NormalDist().inv_cdf
+    stdlib = np.fromiter(map(inv_cdf, probabilities.tolist()), float, probabilities.size)
+    assert float(_ulps(got, stdlib).max()) <= 3.0
+    assert float(_ulps(got, ndtri(probabilities)).max()) <= 7.0
+
+
+def test_normal_quantile_central_branch_has_the_bits_of_pure_python_as241(
+        probabilities, pure_python_inv_cdf):
+    # |p - 1/2| <= 0.425 is arithmetic only: no log, so no libm to differ
+    p = probabilities[:200_000]
+    central = p[np.abs(p - 0.5) <= 0.425]
+    assert central.size > 150_000
+    expected = np.array([pure_python_inv_cdf(v) for v in central.tolist()])
+    assert np.array_equal(normal_quantile(central), expected)
+
+
+def test_scalar_has_the_bits_of_the_array_element(probabilities):
+    p = probabilities[::97]
+    assert np.array_equal([normal_quantile(v) for v in p.tolist()], normal_quantile(p))
+
+
+def test_normal_quantile_exact_at_zero_half_and_one():
+    for p in (np.array([0.0, 0.5, 1.0]), np.array([[1.0, 0.5], [0.0, 0.5]])):
+        got = normal_quantile(p)
+        assert got.shape == p.shape
+        assert np.array_equal(got, np.where(p == 0.5, 0.0, np.copysign(np.inf, p - 0.5)))
+    assert normal_quantile(0.0) == -math.inf
+    assert normal_quantile(1.0) == math.inf
+    assert normal_quantile(-0.0) == -math.inf
+    half = normal_quantile(0.5)
+    assert half == 0.0 and math.copysign(1.0, half) == 1.0
+    assert normal_quantile(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 10**4, 10**6])
+def test_normal_quantile_strictly_increasing_on_rank_points(n):
+    # the 2n - 1 rank points m / (2(n + 1)) the estimator transforms
+    q = normal_quantile(np.arange(2, 2 * n + 1) / (2.0 * (n + 1)))
+    assert np.all(np.isfinite(q))
+    assert np.all(np.diff(q) > 0.0)
+
+
+@pytest.mark.parametrize("p0, step", [
+    (0.075, 1e-12),                     # central -> lower tail, |p - 1/2| = 0.425
+    (0.925, 1e-12),                     # central -> upper tail
+    (math.exp(-25.0), 1e-12 * math.exp(-25.0)),  # near -> far lower tail, sqrt(-log p) = 5
+    (1.0 - math.exp(-25.0), 2.0**-52),  # near -> far upper tail, two ulp of p
+], ids=["0.075", "0.925", "exp(-25)", "1-exp(-25)"])
+def test_normal_quantile_strictly_increasing_across_branch_switches(p0, step):
+    # steps of 1e-12 relative to min(p, 1 - p) or coarser, so each moves the quantile by
+    # over a hundred ulp and a seam between branches would show as a dip
+    p = p0 + step * np.arange(-2000, 2001)
+    assert np.all(np.diff(p) > 0.0)
+    assert np.all(np.diff(normal_quantile(p)) > 0.0)
+
+
+@pytest.mark.parametrize("n", [300, 511, 513, 1200])
+def test_estimates_share_the_quantile_vector_bit_for_bit(n):
+    # knots in all three branches and at both ends; ties in both margins,
+    # so odd (tied) rank points are gathered too; n on both sides of one
+    # 512-row block
+    rng = np.random.default_rng(n)
+    xs = np.round(rng.normal(size=n), 1)
+    ys = np.round(xs + rng.normal(size=n), 1)
+    assert np.unique(xs).size < n and np.unique(ys).size < n
+    knots = np.array([0.0, 1e-12, 0.01, 0.074, 0.3, 0.5, 0.926, 0.99, 1.0 - 1e-12, 1.0])
+    h = default_bandwidth(n)
+    direct = estimate_grid(PairedSample(xs, ys), h, knots)
+    assert np.array_equal(rank_estimate(rank_table(n, h, knots), xs, ys), direct)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])

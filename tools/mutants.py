@@ -1,4 +1,4 @@
-"""Mutation run: which engine and acceptance tests kill each one-line source mutant.
+"""Mutation run: which special-function, engine and acceptance tests kill each mutant.
 
 Usage: python tools/mutants.py [REPO]
 
@@ -20,7 +20,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-TESTS = ["tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py"]
+TESTS = ["tests/test_specfun.py", "tests/test_estimator.py", "tests/test_montecarlo.py",
+         "tests/test_acceptance.py"]
 
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
@@ -41,6 +42,10 @@ MUTANTS = [
      "def _stream_key(seed: int, n_idx: int, theta_idx: int, r: int)"),
     ("tied pairs sorted by (y, x) in _rank_pair_rows", "estimator.py",
      "pairs.sort()", "pairs = pairs[np.lexsort((pairs // span, pairs % span))]"),
+    ("central/tail switch of the normal quantile at 0.5", "specfun.py",
+     "_CENTRAL_BOUND = 0.425", "_CENTRAL_BOUND = 0.5"),
+    ("leading central numerator coefficient off in its 15th significant digit", "specfun.py",
+     "2.50908_09287_30122_6727e+3", "2.50908_09287_30132_6727e+3"),
 ]
 
 
