@@ -86,19 +86,21 @@ def _is_xy_header(row) -> bool:
 
 
 def _read_xy(path: str) -> PairedSample:
-    """Sample of the x,y CSV at ``path``: numpy's C tokenizer reads a clean
-    file, the per-line parser any other."""
+    """Sample of the x,y CSV at ``path`` (see :func:`_load_xy`)."""
     return _load_xy(path) or _parse_xy(path)
 
 
 def _load_xy(path: str) -> PairedSample | None:
     """The sample at ``path`` read by ``np.loadtxt``, or None.
 
-    None unless the header is ``x,y`` and loadtxt reads at least
-    MIN_N rows of two finite values. loadtxt parses a number with the
-    function float() calls, and refuses what float() alone accepts
-    (quotes, ``1_0``, non-ASCII digits) and lines of one cell, so the
-    values are those of :func:`_parse_xy` bit for bit.
+    This is the fast path of :func:`_read_xy`: numpy's C tokenizer reads a
+    file of plain numbers, and on None the per-line :func:`_parse_xy`
+    reads the file again, judges it and reports its errors. None unless
+    the header is ``x,y`` and loadtxt reads at least MIN_N rows of two
+    finite values. loadtxt parses a number with the function float()
+    calls, and refuses what float() alone accepts (quotes, ``1_0``,
+    non-ASCII digits) and lines of one cell, so whatever it reads has the
+    values of :func:`_parse_xy` bit for bit.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -115,9 +117,8 @@ def _load_xy(path: str) -> PairedSample | None:
 
 
 def _parse_xy(path: str) -> PairedSample:
-    """Per-line reader of the CSV at ``path``: the reference for
-    :func:`_load_xy` and the source of every input error, each naming the
-    file and, where there is one, the line."""
+    """Per-line reader of the CSV at ``path``, and the source of every input
+    error, each naming the file and, where there is one, the line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
             reader = csv.reader(fh)
@@ -291,7 +292,9 @@ def _load_experiment(args):
     """Experiment of ``--config`` with ``--seed`` applied, and its manifest parameters.
 
     Every band spec gets all of A, epsilon and confidence, so each band
-    option is checked whichever methods are listed.
+    option is checked whichever methods are listed. The parameters are the
+    parsed config plus ``config`` (its path) and ``bandwidths``, the h
+    each n of ``ns`` runs at, in the order of ``ns``.
     """
     cfg = _parse_config(args.config)
     if args.seed is not None:
@@ -309,7 +312,8 @@ def _load_experiment(args):
         bandwidth=cfg["bandwidth"],
         band_specs=specs,
     )
-    return config, {**cfg, "config": args.config}
+    bandwidths = [config.bandwidth_for(n) for n in config.ns]
+    return config, {**cfg, "config": args.config, "bandwidths": bandwidths}
 
 
 def _cmd_simulate_coverage(args):

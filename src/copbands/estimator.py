@@ -1,49 +1,47 @@
 """Probit-transformation kernel estimator of a bivariate copula.
 
 The estimator sees a raw sample (X_i, Y_i) only through its
-pseudo-observations Uhat_i = rank(X_i)/(n+1), Vhat_i = rank(Y_i)/(n+1).
-It maps them and the evaluation coordinates through the standard normal
-quantile (the Probit transformation), then averages products of
-integrated-kernel factors:
+pseudo-observations Uhat_i = rank(X_i)/(n+1), Vhat_i = rank(Y_i)/(n+1),
+and averages products of kernel factors on the Probit scale:
 
     Chat(u, v) = (1/n) * sum_i K((q(u) - q(Uhat_i)) / h) * K((q(v) - q(Vhat_i)) / h)
 
-with q the normal quantile and K the Epanechnikov kernel CDF. Smoothing on
-the transformed scale avoids boundary bias, and the extended-real conventions
-(q(0) = -inf, q(1) = +inf, K(-inf) = 0, K(+inf) = 1) make the copula
-boundary values exact.
+with q the normal quantile and K the Epanechnikov kernel CDF; README.md
+states what the public functions compute and guarantee. This docstring
+is the one account of how every estimate is summed, the Monte Carlo
+engine's included.
 
-``estimate_grid`` ranks a sample and evaluates one surface; ``rank_table``
-and ``rank_estimate`` split the same arithmetic for many samples of one
-size, tabulating the kernel factors of every possible rank once. Factor
-tables are observation-major, one row per observation or rank, and both
-paths sum over observations in blocks of 512. Both take the normal
-quantiles of the knots and of the 2n - 1 rank points from one call, and
-``estimate_grid``'s blocks gather their rows from that vector, so its
-memory is O(n) for the vector plus O(|knots|·512) for the blocks. The
-order of the terms is free, and both paths add them in x-rank order, a
-tie group of x in y-rank order: the sum depends only on
-the set of rank pairs, so a surface has the same bits for every row order
-of its sample, and without ties in x the x factors of the terms are the
-rank table's even rows, in order.
+Rank points. ``_argsort_rows`` is the one ranker. A value of doubled
+rank m = 2, 3, ..., 2n (odd m: a tie's mid-rank) has the
+pseudo-observation m / (2(n + 1)), rank point m - 2.
 
-Every estimate, the Monte Carlo engine's included, ranks through one
-ranker: ``_argsort_rows`` sorts the rows of a batch of samples, and
-``_rank_pair_rows`` turns each row into its rank pairs in that order
-(``estimate_grid`` and ``rank_estimate`` pass a batch of one). A lookup
-in a rank table ends in ``_table_sum``, the one sum over table rows.
+One quantile vector. An estimate takes the normal quantiles of the knots
+and of the 2n - 1 rank points from one call (``_quantiles``), and every
+factor is K((q(knot) - q(point)) / h) of that vector (``_factors``).
+``rank_table`` holds the factors of every rank point, one row each, so a
+gather of observations copies whole rows; ``estimate_grid`` gathers its
+blocks' rows from the vector itself, so its memory is O(n) for the vector
+plus O(|knots|·512) for the blocks.
 
-Every sum of blocks ends in ``_block_sum``. A block's (G, G) product
-fx^T fy is built from tiles of at most 33 knots per side, one BLAS call
-each, so it is a single call when G <= 33. A tile stays on one BLAS
-thread, while a single call on a larger grid is split across threads
-from 45 knots and sums in another order, so no estimate depends on the
-BLAS thread count at any G (checked from 2 to 99 knots). The first block's product is
-written where the sum goes and later blocks are added to it in order,
-which gives the bits of a sum from 0.0 because the products are >= 0.
-The BLAS build and the CPU kernel it selects can still move the last
-bits. So can numpy's ``log`` and ``sqrt`` build: the quantile's tails,
-beyond |p - 1/2| = 0.425, go through them (see ``specfun``).
+x-rank order. The terms of the sum may be added in any order, and every
+path adds them in x-rank order, a tie group of x in y-rank order
+(``_rank_pair_rows``). The sum then depends only on the set of rank
+pairs, so a surface has the same bits for every row order of its sample.
+Without ties in x the x factors of the terms are the rank table's even
+rows, in order, so only the y rows are gathered; ``_table_sum`` is the one
+sum over table rows.
+
+Blocks and tiles. Every sum runs over blocks of 512 observations in order
+(``_block_sum``). A block's (G, G) product fx^T fy is built from tiles of
+at most 33 knots per side, one BLAS call each, so it is one call when
+G <= 33. A tile stays on one BLAS thread, while a single call on a larger
+grid is split across threads from 45 knots and sums in another order, so
+the tiles keep every estimate independent of the BLAS thread count at any
+G (checked from 2 to 99 knots). The first block's product is written
+where the sum goes and later blocks are added to it, which gives the bits
+of a sum from 0.0 because the products are >= 0. ``estimate_grid`` and
+``rank_estimate`` thus evaluate the same doubles and add them in the same
+order, and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -153,9 +151,7 @@ def _doubled_rank_rows(x: np.ndarray) -> np.ndarray:
     """Doubled ranks of each row of the 2-D array x of finite values.
 
     Doubled ranks are twice the ranks 1..n as integers, each tie group given
-    twice its mean rank. A row is ordered by ``_argsort_rows``, the package's
-    only ranker; a row with ties takes its mid-ranks from the tie groups of
-    its values in that order.
+    twice its mean rank.
     """
     order, tied = _argsort_rows(x)
     m = np.empty(x.shape, dtype=np.intp)
@@ -174,8 +170,7 @@ def _rank_pair_rows(x: np.ndarray, y: np.ndarray):
     A row with untied x gives ``(None, ys)``: ys[k] is the row of the y
     factors of its observation of x-rank k + 1, whose x factors are row 2k.
     A row with tied x gives the rows ``(xs, ys)`` of its pairs, sorted by
-    x-rank and then by y-rank. Either way the estimator sums in this order,
-    so a surface depends only on the set of rank pairs.
+    x-rank and then by y-rank.
     """
     order, tied = _argsort_rows(x)
     ys = _doubled_rank_rows(y) - 2
@@ -195,11 +190,9 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     """Estimate of ``sample`` on the product grid knots x knots.
 
     Ties get mid-ranks, which keeps the estimator total on arbitrary
-    numeric data; with continuous margins each pseudo-observation
-    coordinate is a permutation of {k/(n+1) : k = 1..n}. The surface is
-    invariant under strictly increasing maps of either margin. It costs
-    O(n·|knots|²) flops, and O(n) memory for the quantile vector plus
-    O(|knots|·512) for the blocks.
+    numeric data. The surface keeps its bits under strictly increasing maps
+    of either margin and under any reordering of the pairs. It costs
+    O(n·|knots|²) flops and O(n + |knots|·512) memory.
 
     Parameters
     ----------
@@ -234,10 +227,9 @@ def _check_bandwidth(h) -> None:
 
 
 def _quantiles(knots: np.ndarray, n: int):
-    """Normal quantiles of the knots and of the 2n - 1 rank points, from one call.
+    """Normal quantiles of the knots and of the 2n - 1 rank points, as two arrays.
 
-    Rank point m - 2 is m / (2(n + 1)), the pseudo-observation of doubled
-    rank m = 2, 3, ..., 2n (odd m: ties).
+    Rank point m - 2 is m / (2(n + 1)), for doubled rank m = 2, 3, ..., 2n.
     """
     q = normal_quantile(np.concatenate((knots, np.arange(2, 2 * n + 1) / (2.0 * (n + 1)))))
     return q[:knots.size], q[knots.size:]
@@ -246,7 +238,6 @@ def _quantiles(knots: np.ndarray, n: int):
 def _factors(qk: np.ndarray, qp: np.ndarray, h: float) -> np.ndarray:
     """(points, knots) table of kernel factors K((qk_g - qp_i) / h) of quantiles.
 
-    Observation-major, so a gather of observations copies whole rows.
     +/-inf quantiles of boundary knots hit the kernel's exact 0/1
     plateaus, never a nan.
     """
@@ -262,8 +253,7 @@ def _block_sum(blocks, out=None) -> np.ndarray:
     """Sum of fx^T fy over the (fx, fy) pairs of (rows, G) tables, added in order.
 
     Returns ``out``, or a new (G, G) array if it is None, holding the sum,
-    undivided: the first product is written into it, and each later one
-    into one reused buffer and then added to it.
+    undivided; its bits are those of a sum from 0.0.
     """
     product = out
     for k, (fx, fy) in enumerate(blocks):
@@ -284,11 +274,10 @@ def _block_sum(blocks, out=None) -> np.ndarray:
 def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys, out=None) -> np.ndarray:
     """n times the estimate surface of one ``_rank_pair_rows`` item (xs, ys), from a rank table.
 
-    The sum of table[xs_i]^T table[ys_i] over the n observations, summed in
-    blocks as :func:`estimate_grid` sums and written into ``out`` as
-    :func:`_block_sum` writes it; the caller divides by n. ``even`` is
-    ``table[0::2]`` as a contiguous array, the x factors in order when xs
-    is None.
+    The sum of table[xs_i]^T table[ys_i] over the n observations, written
+    into ``out`` as :func:`_block_sum` writes it; the caller divides by n.
+    ``even`` is ``table[0::2]`` as a contiguous array, the x factors in
+    order when xs is None.
     """
     # ranks are in range, so "clip" only skips the bounds check
     return _block_sum(((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
@@ -298,12 +287,9 @@ def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys, out=None) -> np.ndar
 def rank_table(n: int, h: float, knots) -> np.ndarray:
     """Kernel factors of every doubled rank m = 2, 3, ..., 2n (odd m: ties).
 
-    Row m - 2 holds the factors of the pseudo-observation
-    m / (2(n + 1)), from the quantile vector whose element m - 2
-    :func:`estimate_grid` gathers for a value of doubled rank m, so its
-    factor tables for a sample of size n are row gathers of this
-    (2n - 1, knots) table. Build it once per (n, h, knots) and pass it
-    to :func:`rank_estimate`.
+    Row m - 2 of the (2n - 1, knots) table holds the factors of the
+    pseudo-observation m / (2(n + 1)). Build it once per (n, h, knots)
+    and pass it to :func:`rank_estimate`.
     """
     n = operator.index(n)
     if n < 1:

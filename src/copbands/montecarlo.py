@@ -1,6 +1,7 @@
 """Seeded replication engine for coverage and deviation experiments.
 
-Three experiments over Frank-copula ground truth:
+Three experiments over Frank-copula ground truth, whose results and
+determinism contract README.md states:
 
 * ``run_coverage``: empirical simultaneous-coverage frequencies of the
   requested bands over B replicates per (theta, n) cell.
@@ -9,32 +10,31 @@ Three experiments over Frank-copula ground truth:
   surface standing in for the exact estimator expectation.
 * ``run_bias_check``: the normalized bias proxy R_n * sup |Ebar - C|.
 
-Each is a fold over one cell pipeline: one rank table per n (it does not
-depend on theta), one task per (theta, n, chunk) in that order, and one
-map over all tasks. A task is a chunk of up to ``REPLICATE_CHUNK``
-replicates and runs each layer once per row block of about ``_ROW_BLOCK``
-draws: one Philox generator re-keyed per replicate, one Frank sampler call
-and one rank pass over (replicates, n) arrays, the estimator's own
-``_rank_pair_rows``. Every experiment reads a replicate as its rank-table
-rows in x-rank order (``_rank_rows``), the order in which the estimator
-sums: the x factors of an untied replicate are then the table's even rows
-in order, so only its y rows are gathered. Coverage and the lil check sum
-each replicate with ``_table_sum``, as ``rank_estimate`` does;
-coverage workers return counts, and the lil check concatenates one cell's
-chunk stacks at a time. The bias check forms no surface per replicate:
-its workers return each replicate's rank-table rows, and the parent folds
-them into one (n, G) table per cell and one product (``_bias_mean``).
+This docstring is the one account of how a run is split and drawn. Each
+experiment is a fold over one cell pipeline (``_cells``): one rank table
+per n, shared by every theta, one task per (theta, n, chunk) in that
+order, and one map over all tasks. A task is a chunk of up to
+``REPLICATE_CHUNK`` replicates, run in row blocks of about ``_ROW_BLOCK``
+draws (8 replicates at n = 2000, a whole chunk at n = 50) so that each
+layer's arrays stay in cache. A row block makes one keyed draw
+(``_keyed_draws``), one Frank sampler call and one rank pass
+(``copbands.estimator``'s ``_rank_pair_rows``) over (replicates, n)
+arrays. The keyed draw uses one Philox generator and re-keys it per
+replicate: its state is reset to the replicate's key, a zero counter and
+an empty buffer. A Philox stream is a pure function of key and counter,
+so this draws what a newly keyed generator draws. Coverage and the lil
+check then sum each replicate from the rank table with ``_table_sum``, as
+``rank_estimate`` does; coverage workers return counts of ``covers`` over
+each chunk's stack, and the lil check concatenates one cell's stacks at a
+time. The bias check forms no surface per replicate: its workers return
+rank-table rows, which ``_bias_mean`` folds.
 
-Determinism contract: replicate r of cell (theta_i, n_j) draws from a
-counter-based generator keyed by (master seed, i, j, r), replicates are
-dispatched in fixed-size chunks, and reductions run in submission order.
-Reports are therefore bit-identical for any worker count and any BLAS
-thread count, on every grid, since the estimator's products do not depend
-on the BLAS thread count (see ``copbands.estimator``).
-The worker count defaults to the ``COPBANDS_WORKERS`` environment variable,
-an integer >= 1 (1 if unset); a single worker runs in-process with no pool,
-more workers share one process pool per run, of at most one process per
-task.
+Reports do not depend on the worker count, the chunk size or the row
+block: a replicate's stream depends only on its key, every layer works
+row by row, counts add exactly, the lil check reduces a cell's whole
+stack, the bias fold adds replicates in order, and results are reduced in
+submission order. The estimator's products add the BLAS thread count to
+that list (see ``copbands.estimator``).
 """
 
 from __future__ import annotations
@@ -70,14 +70,10 @@ __all__ = [
 
 WORKERS_ENV = "COPBANDS_WORKERS"
 
-# Replicates per task. Reports do not depend on it: a replicate's stream depends
-# only on its key, counts add exactly, the lil check reduces a cell's whole stack
-# and the bias fold adds replicates in order.
+# Replicates per task; reports do not depend on it (see the module docstring).
 REPLICATE_CHUNK = 64
 
-# Draws per row block of a chunk: the draws, the sampler and the rank pass run
-# block by block while their arrays stay in cache (8 rows at n = 2000, a whole
-# chunk at n = 50). Every layer works row by row, so no value depends on it.
+# Draws per row block of a chunk (see the module docstring).
 _ROW_BLOCK = 2**14
 
 
@@ -221,13 +217,10 @@ def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int) -> int:
 
 
 def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int):
-    """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one Philox.
+    """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one re-keyed Philox.
 
     Row k holds what a Philox generator keyed by ``_stream_key(seed,
-    theta_idx, n_idx, r0 + k)`` draws first and second: a Philox stream is
-    a pure function of its key and counter, so resetting the state to a new
-    key, a zero counter and an empty buffer starts that replicate's stream
-    without a new generator.
+    theta_idx, n_idx, r0 + k)`` draws first and second.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
     u = np.empty((r1 - r0, n))
@@ -248,13 +241,10 @@ def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int
 
 
 def _rank_rows(args):
-    """Yield the rank-table rows of replicates r0..r1-1 in x-rank order, one pair each.
+    """Yield the ``_rank_pair_rows`` item of each replicate r0..r1-1, in order.
 
     ``args`` starts with the stream fields (seed, theta, theta_idx, n, n_idx,
-    r0, r1). Each block of about ``_ROW_BLOCK`` draws runs one keyed draw,
-    one Frank sampler call and one ``_rank_pair_rows`` pass over its rows,
-    which yields each replicate's rows in the order in which
-    ``rank_estimate`` sums.
+    r0, r1); the draws, the sampler and the ranks run per row block.
     """
     (seed, theta, theta_idx, n, n_idx, r0, r1) = args[:7]
     rows = max(1, _ROW_BLOCK // n)
@@ -264,11 +254,9 @@ def _rank_rows(args):
 
 
 def _grid_chunk(args):
-    """Estimate surfaces of replicates r0..r1-1, looked up in the cell's rank table.
+    """(r1 - r0, G, G) stack of the estimate surfaces of replicates r0..r1-1.
 
-    Returns one (r1 - r0, G, G) stack: each replicate's ``_table_sum`` is
-    written into its slot, and the whole stack is divided by n once, so
-    each surface has the bits of ``rank_estimate``.
+    Each surface has the bits of ``rank_estimate`` on the replicate's sample.
     """
     n, r0, r1, table = args[3], args[5], args[6], args[7]
     even = np.ascontiguousarray(table[0::2])
@@ -288,13 +276,14 @@ def _bias_chunk(args):
 
 
 def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
-    """Mean estimate surface of B replicates from their ``_bias_chunk`` rows.
+    """Mean estimate surface of B replicates from their ``_bias_chunk`` rows: the bias fold.
 
     The estimator is bilinear, Chat = (1/n) sum_i T[mx_i - 2]^T T[my_i - 2]
     for the rank table T, so the mean is T^T A / (nB), where row m - 2 of A
     sums the y factors of every observation with doubled x-rank m. Replicates
-    add to A in order. Without ties in x only A's even rows fill, and they
-    are kept in one contiguous (n, G) array.
+    add to A in order, a replicate with tied x through ``np.add.at``.
+    Without ties in x only A's even rows fill, and they are kept in one
+    contiguous (n, G) array, so memory does not grow with B.
     """
     n = (table.shape[0] + 1) // 2
     even = np.zeros((n, table.shape[1]))
@@ -362,11 +351,11 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     """Empirical simultaneous-coverage frequencies per (method, theta, n).
 
     Each replicate draws a Frank sample by conditional sampling and
-    estimates the copula on the shared interior grid from its ranks and
-    the rank table of its n. A band covers the replicate when the true
-    surface lies within the estimate ± the band's half-width, computed
-    once per cell, at every knot. Rows are emitted in (method, theta, n) order with Monte Carlo
-    standard errors sqrt(p(1-p)/B) attached.
+    estimates the copula on the shared interior grid. A band covers the
+    replicate when the true surface lies within the estimate ± the band's
+    half-width at every knot (``covers``). Rows are emitted in
+    (method, theta, n) order with Monte Carlo standard errors
+    sqrt(p(1-p)/B) attached.
     """
     knots = interior_grid(config.grid_resolution)
     need_sigma2 = any(spec.method is BandMethod.NORMAL for spec in config.band_specs)
@@ -430,8 +419,8 @@ def run_bias_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """Normalized bias proxy R_n·sup|Ebar - C| per (theta, n) cell.
 
     B >= 1000 so the mean surface estimates the expectation with error
-    well below the bias it is measuring. Ebar is folded from rank-table rows
-    (``_bias_mean``), so memory does not grow with B.
+    well below the bias it is measuring. Ebar comes from the bias fold
+    (``_bias_mean``).
     """
     if config.B < 1000:
         raise ValueError("bias check requires B >= 1000 (mean-surface proxy accuracy)")

@@ -5,14 +5,9 @@ Each test prints one ``acceptance N (<name>): PASS|FAIL`` line so the
 pytest log doubles as the acceptance report. Tolerances are frozen here;
 see README.md for the experiment definitions.
 
-Acceptance 1 and 2 require the harness's coverage counts to equal those
-of an independent reproduction of the documented experiment
-(``_reference_cell``), which shares with the harness only the documented
-layout of the replicate stream key and the draw order (u, then w). The
-fixed reference levels of an unrecorded protocol survive as one-sided
-clauses: lil coverage stays at or above ``LIL_TARGET - LIL_TOL`` and
-normal joint coverage below the nominal level. README.md, "Reference
-coverage levels", gives the evidence.
+Acceptance 1 and 2 check what README.md's "What acceptance 1 and 2
+assert" states, with the reproduction in ``_reference_cell`` and the
+evidence under "Reference coverage levels".
 """
 
 import os

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -725,3 +726,27 @@ def test_verify_manifest_contains_mode(tmp_path):
     manifest = json.loads((tmp_path / "lil.csv.manifest.json").read_text())
     assert manifest["parameters"]["mode"] == "lil"
     assert manifest["subcommand"] == "verify"
+
+
+EXPERIMENTS = [["simulate-coverage"], ["verify", "lil"], ["verify", "bias"]]
+
+
+def _run_parameters(tmp_path, command, bandwidth):
+    cfg = _config(tmp_path, ns="20, 16", B="1000", bandwidth=bandwidth)
+    out = tmp_path / "run.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return json.loads((tmp_path / "run.csv.manifest.json").read_text())["parameters"]
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_manifest_bandwidths_follow_the_default_schedule(tmp_path, command):
+    parameters = _run_parameters(tmp_path, command, "auto")
+    assert parameters["bandwidth"] is None
+    assert parameters["bandwidths"] == [1.0 / math.log(20), 1.0 / math.log(16)]
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_manifest_bandwidths_repeat_a_fixed_value(tmp_path, command):
+    parameters = _run_parameters(tmp_path, command, "0.3")
+    assert parameters["bandwidth"] == 0.3
+    assert parameters["bandwidths"] == [0.3, 0.3]

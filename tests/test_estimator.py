@@ -426,24 +426,30 @@ def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(monkeypatch, n
     assert np.array_equal(stack, [_tiled_estimate(table, u, v) for u, v in zip(us, vs)])
 
 
-def test_estimate_grid_memory_does_not_grow_with_n():
-    # whole (33, n) factor tables peaked at 127 MiB in this test; 512-row blocks need 5
+def _estimate_grid_peak(n):
     rng = np.random.default_rng(0)
-    sample = PairedSample(rng.random(100_000), rng.random(100_000))
+    sample = PairedSample(rng.random(n), rng.random(n))
     tracemalloc.start()
     try:
         estimate_grid(sample, 0.1, interior_grid(33))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_estimate_grid_memory_grows_with_n_only_through_vectors():
+    # O(n) vectors (rank points' quantiles, ranks) plus O(|knots|·512) blocks:
+    # peaks of 5.36 MiB at n = 1e5 and 9.97 MiB at 2e5, about 48 B per
+    # observation. Whole (33, n) factor tables peaked at 127 MiB at n = 1e5,
+    # and a (2n - 1, 33) rank table alone would add 2·33·8 = 528 B per observation.
+    small, large = _estimate_grid_peak(100_000), _estimate_grid_peak(200_000)
+    assert small < 16 * 2**20
+    assert (large - small) / 100_000 < 64
 
 
 def test_estimate_grid_does_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at import. A block's product is
-    # one call up to 33 knots and built from 33-knot tiles beyond, which stay
-    # on one BLAS thread; one untiled call is split across threads from 45
-    # knots up and the last bits move.
+    # OpenBLAS reads its thread count once, at import; the grids straddle the
+    # 33-knot tiles and the 45-knot thread split of the estimator module docstring.
     code = (
         "import hashlib\n"
         "import numpy as np\n"

@@ -1,4 +1,4 @@
-"""Mutation run: which special-function, engine and acceptance tests kill each mutant.
+"""Mutation run: which unit and acceptance tests kill each one-line source mutant.
 
 Usage: python tools/mutants.py [REPO]
 
@@ -20,8 +20,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-TESTS = ["tests/test_specfun.py", "tests/test_estimator.py", "tests/test_montecarlo.py",
-         "tests/test_acceptance.py"]
+TESTS = ["tests/test_specfun.py", "tests/test_copula.py", "tests/test_bands.py",
+         "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py"]
 
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
@@ -46,6 +46,17 @@ MUTANTS = [
      "_CENTRAL_BOUND = 0.425", "_CENTRAL_BOUND = 0.5"),
     ("leading central numerator coefficient off in its 15th significant digit", "specfun.py",
      "2.50908_09287_30122_6727e+3", "2.50908_09287_30132_6727e+3"),
+    ("LIL half-width times 0.9 in half_width", "bands.py",
+     "return (1.0 + spec.epsilon) * spec.A / rn(n)", "return 0.9 * (1.0 + spec.epsilon) * spec.A / rn(n)"),
+    ("<= made < in the lower-edge comparison of covers", "bands.py",
+     "inside = bound <= truth", "inside = bound < truth"),
+    ("sign of the 2 C_u C_v (C - uv) term flipped in _sigma2", "copula.py",
+     "+ 2.0 * cu * cv * (c - ua * va)", "- 2.0 * cu * cv * (c - ua * va)"),
+    ("far-branch rebuild of 1 + z dropped in _denominator", "copula.py",
+     "one_z[far] = (a + b - math.exp(-th) - a * b) / -big_g", "pass"),
+    # reports do not depend on the chunk size: only test_chunk_constant_is_frozen should kill it
+    ("REPLICATE_CHUNK = 17", "montecarlo.py",
+     "REPLICATE_CHUNK = 64", "REPLICATE_CHUNK = 17"),
 ]
 
 
