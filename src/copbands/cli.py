@@ -250,10 +250,11 @@ def _estimate(args, knots):
 
 def _grid_lines(header: str, knots, *surfaces) -> list:
     """One ``u,v,<surface values>`` CSV line per knot pair, u-major."""
+    cells = [_fmt(k) for k in knots.tolist()]  # Python floats format faster than numpy's
     lines = [header]
-    for i, u in enumerate(knots):
-        for j, v in enumerate(knots):
-            lines.append(",".join([_fmt(u), _fmt(v), *(_fmt(s[i, j]) for s in surfaces)]))
+    for u, *rows in zip(cells, *(s.tolist() for s in surfaces)):
+        for v, *values in zip(cells, *rows):
+            lines.append(",".join([u, v, *map(_fmt, values)]))
     return lines
 
 

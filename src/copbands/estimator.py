@@ -241,7 +241,9 @@ def _factors(qk: np.ndarray, qp: np.ndarray, h: float) -> np.ndarray:
     +/-inf quantiles of boundary knots hit the kernel's exact 0/1
     plateaus, never a nan.
     """
-    return epanechnikov_cdf((qk[None, :] - qp[:, None]) / h)
+    t = qk[None, :] - qp[:, None]
+    t /= h
+    return epanechnikov_cdf(t)
 
 
 def _blocks(n: int):

@@ -13,21 +13,22 @@ determinism contract README.md states:
 This docstring is the one account of how a run is split and drawn. Each
 experiment is a fold over one cell pipeline (``_cells``): one rank table
 per n, shared by every theta, one task per (theta, n, chunk) in that
-order, and one map over all tasks. A task is a chunk of up to
-``REPLICATE_CHUNK`` replicates, run in row blocks of about ``_ROW_BLOCK``
-draws (8 replicates at n = 2000, a whole chunk at n = 50) so that each
-layer's arrays stay in cache. A row block makes one keyed draw
-(``_keyed_draws``), one Frank sampler call and one rank pass
-(``copbands.estimator``'s ``_rank_pair_rows``) over (replicates, n)
-arrays. The keyed draw uses one Philox generator and re-keys it per
-replicate: its state is reset to the replicate's key, a zero counter and
-an empty buffer. A Philox stream is a pure function of key and counter,
-so this draws what a newly keyed generator draws. Coverage and the lil
-check then sum each replicate from the rank table with ``_table_sum``, as
-``rank_estimate`` does; coverage workers return counts of ``covers`` over
-each chunk's stack, and the lil check concatenates one cell's stacks at a
-time. The bias check forms no surface per replicate: its workers return
-rank-table rows, which ``_bias_mean`` folds.
+order, and one map over all tasks; only a run that starts a process pool
+imports the pool's modules. A task is a chunk of up to ``REPLICATE_CHUNK``
+replicates, run in row blocks of about ``_ROW_BLOCK`` draws (8 replicates
+at n = 2000, a whole chunk at n = 50) so that each layer's arrays stay in
+cache. A row block makes one keyed draw (``_keyed_draws``), one Frank
+sampler call and one rank pass (``copbands.estimator``'s
+``_rank_pair_rows``) over (replicates, n) arrays. The keyed draw uses one
+Philox generator and re-keys it per replicate: its state is reset to the
+replicate's key, a zero counter and an empty buffer. A Philox stream is a
+pure function of key and counter, so this draws what a newly keyed
+generator draws. Coverage and the lil check then sum each replicate from
+the rank table with ``_table_sum``, as ``rank_estimate`` does; coverage
+workers return counts of ``covers`` over each half of a chunk's stack,
+and the lil check concatenates one cell's stacks at a time. The bias
+check forms no surface per replicate: its workers return rank-table rows,
+which ``_bias_mean`` folds.
 
 Reports do not depend on the worker count, the chunk size or the row
 block: a replicate's stream depends only on its key, every layer works
@@ -42,7 +43,6 @@ from __future__ import annotations
 import numbers
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
@@ -310,7 +310,12 @@ def _coverage_chunk(args):
     """Covered replicates of one chunk, one count per band half-width."""
     *grid_args, truth, half_widths = args
     stack = _grid_chunk(grid_args)
-    return np.array([np.count_nonzero(covers(stack, hw, truth)) for hw in half_widths])
+    # covers takes half the stack at a time: with temporaries as large as the
+    # whole stack, the free top of the C heap crossed malloc's trim threshold,
+    # so chunks gave their memory back and faulted it in again
+    halves = (stack[:len(stack) // 2], stack[len(stack) // 2:])
+    return np.array([sum(np.count_nonzero(covers(half, hw, truth)) for half in halves)
+                     for hw in half_widths])
 
 
 def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, table: (table,)):
@@ -341,6 +346,8 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, tabl
              for i, j in cells for r0, r1 in chunks]
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
     serial = workers == 1
+    if not serial:
+        from concurrent.futures import ProcessPoolExecutor
     with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
         results = map(chunk_fn, tasks) if serial else pool.map(chunk_fn, tasks)
         for i, j in cells:

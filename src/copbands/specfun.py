@@ -160,8 +160,14 @@ def epanechnikov_cdf(t):
     Closed form 0.5 + t*(0.75 - 0.25*t^2) inside the support, exactly 0
     below -1 and 1 above +1 (including at ``-/+inf``).
     """
-    ta = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    out = 0.5 + ta * (0.75 - 0.25 * ta * ta)
+    # at least 1-d: clip gives a 0-d input back as a scalar, which the
+    # in-place steps below cannot write to
+    ta = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -1.0, 1.0)
+    out = ta * 0.25
+    out *= ta
+    np.subtract(0.75, out, out=out)
+    out *= ta
+    out += 0.5
     if np.ndim(t) == 0:
-        return float(out)
+        return float(out[0])
     return out

@@ -254,9 +254,10 @@ def test_required_options(argv, capsys):
     assert "the following arguments are required" in capsys.readouterr().err
 
 
-def test_estimate_and_bands_runs_load_no_scipy(frank_xy, tmp_path):
-    # importing scipy.special took 0.3 s of start-up; neither the imports
-    # nor a run, with its lazy imports, may bring any scipy module back
+def test_estimate_and_bands_runs_load_no_scipy_and_no_process_pool(frank_xy, tmp_path):
+    # importing scipy.special took 0.3 s of start-up, and the process pool's
+    # concurrent.futures and multiprocessing modules took about 20 ms more;
+    # neither the imports nor a run, with its lazy imports, may load them
     data = frank_xy(n=40)
     code = (
         "import sys, copbands, copbands.cli\n"
@@ -264,7 +265,8 @@ def test_estimate_and_bands_runs_load_no_scipy(frank_xy, tmp_path):
         "codes = [copbands.cli.main(['estimate', data, '--out', out]),\n"
         "         copbands.cli.main(['bands', data, '--method', 'normal', '--theta', '1',\n"
         "                            '--out', out])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0]\n"
+        "                    in ('scipy', 'concurrent', 'multiprocessing')))\n"
     )
     src = str(Path(copbands.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "o.csv")],
@@ -272,6 +274,24 @@ def test_estimate_and_bands_runs_load_no_scipy(frank_xy, tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{[EXIT_OK, EXIT_OK]} []"
+
+
+def test_grid_lines_pin_the_bytes_of_awkward_values():
+    # shortest round-trip decimals, u-major, one column per surface; the
+    # values are formatted as Python floats and must read as numpy scalars do
+    knots = np.array([5e-324, 1.0 - 2.0**-53])
+    a = np.array([[-0.0, 5e-324], [1.0 - 2.0**-53, 0.1 + 0.2]])
+    b = np.array([[0.1 + 0.2, -0.0], [5e-324, 1e-05]])
+    lines = cli._grid_lines("u,v,a,b", knots, a, b)
+    assert lines == [
+        "u,v,a,b",
+        "5e-324,5e-324,-0.0,0.30000000000000004",
+        "5e-324,0.9999999999999999,5e-324,-0.0",
+        "0.9999999999999999,5e-324,0.9999999999999999,5e-324",
+        "0.9999999999999999,0.9999999999999999,0.30000000000000004,1e-05",
+    ]
+    assert lines[1:] == [",".join(map(cli._fmt, (knots[i], knots[j], a[i, j], b[i, j])))
+                         for i in range(2) for j in range(2)]
 
 
 # -------------------------------------------------------------- CSV reader

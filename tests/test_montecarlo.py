@@ -1,5 +1,6 @@
 """Replication engine: determinism, chunked parallelism, experiment runs."""
 
+import concurrent.futures
 import math
 import os
 import re
@@ -206,15 +207,17 @@ def test_coverage_tabulates_once_per_n(monkeypatch):
     "run, B", [(run_coverage, 64), (run_lil_check, 100), (run_bias_check, 1000)]
 )
 def test_one_pool_per_run(monkeypatch, run, B):
-    # a 2 x 2-cell run with two workers dispatches every cell through one pool
+    # a 2 x 2-cell run with two workers dispatches every cell through one pool;
+    # the engine imports the pool class when it starts one, so it is patched
+    # where that import reads it
     pools = []
 
-    class CountingPool(montecarlo.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     run(_small_config(thetas=(1.0, -2.0), ns=(16, 24), B=B, grid_resolution=5), workers=2)
     assert len(pools) == 1
 
@@ -241,7 +244,7 @@ class RecordingPool:
 def recording_pool(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
 
 

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from copbands import PairedSample, default_bandwidth, estimate_grid, rank_estimate, rank_table
@@ -189,6 +191,46 @@ def test_epanechnikov_cdf_integrates_density():
     dens = 0.75 * (1.0 - t * t)
     quad = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(t))))
     np.testing.assert_allclose(epanechnikov_cdf(t), quad, atol=1e-6)
+
+
+# zeros, the support's edges and their neighbours, infinities, NaN, subnormals
+_KERNEL_EDGES = [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.0 + 2.0**-52,
+                 -(1.0 + 2.0**-52), math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, -2.2250738585072009e-308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_KERNEL_EDGES), st.floats(-1.5, 1.5),
+                          st.floats(allow_nan=True, allow_infinity=True)), min_size=1, max_size=24),
+       st.sampled_from([0, 1, 2]))
+@example(_KERNEL_EDGES, 2)
+@example([-0.0], 0)
+@example([5e-324], 0)
+@example([math.nan], 0)
+def test_epanechnikov_cdf_has_the_bits_of_the_textbook_expression(values, ndim):
+    # the kernel works in place; it must still round every step as the
+    # one-line formula does, return a float for a 0-d input and leave its
+    # input unwritten
+    if ndim == 0:
+        t = np.array(values[0])
+    elif ndim == 1:
+        t = np.array(values)
+    else:
+        t = np.array(values).reshape((-1, 2) if len(values) % 2 == 0 else (1, -1))
+    before = t.copy()
+    ta = np.clip(t, -1.0, 1.0)
+    expected = np.asarray(0.5 + ta * (0.75 - 0.25 * ta * ta))
+    got = epanechnikov_cdf(t)
+    assert t.tobytes() == before.tobytes()
+    if ndim == 0:
+        assert type(got) is float and type(epanechnikov_cdf(values[0])) is float
+        assert np.array_equal(epanechnikov_cdf(values[0]), got, equal_nan=True)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+    got = np.asarray(got)
+    nan = np.isnan(expected)  # a NaN's payload is not part of the result
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_scalar_in_scalar_out_array_in_array_out():

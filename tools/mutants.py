@@ -54,6 +54,14 @@ MUTANTS = [
      "+ 2.0 * cu * cv * (c - ua * va)", "- 2.0 * cu * cv * (c - ua * va)"),
     ("far-branch rebuild of 1 + z dropped in _denominator", "copula.py",
      "one_z[far] = (a + b - math.exp(-th) - a * b) / -big_g", "pass"),
+    ("(rank - 1/2)/n margins in _quantiles", "estimator.py",
+     "np.arange(2, 2 * n + 1) / (2.0 * (n + 1))", "(np.arange(2, 2 * n + 1) - 1.0) / (2.0 * n)"),
+    ("rank points at m / (2n + 1) in _quantiles", "estimator.py",
+     "np.arange(2, 2 * n + 1) / (2.0 * (n + 1))", "np.arange(2, 2 * n + 1) / (2.0 * n + 1.0)"),
+    ("replicate statistic times 1.5 in run_lil_check", "montecarlo.py",
+     "stats = rn(n) * np.max(", "stats = 1.5 * rn(n) * np.max("),
+    ("0.75 of the kernel CDF one ulp high", "specfun.py",
+     "np.subtract(0.75, out, out=out)", "np.subtract(0.7500000000000001, out, out=out)"),
     # reports do not depend on the chunk size: only test_chunk_constant_is_frozen should kill it
     ("REPLICATE_CHUNK = 17", "montecarlo.py",
      "REPLICATE_CHUNK = 64", "REPLICATE_CHUNK = 17"),
