@@ -39,7 +39,7 @@ from .bands import MIN_N, BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
 from .estimator import PairedSample, _check_bandwidth, default_bandwidth
 from .estimator import estimate_grid, interior_grid
-from .montecarlo import ExperimentConfig, run_bias_check, run_coverage, run_lil_check
+from .montecarlo import DeviationReport, ExperimentConfig, run_bias_check, run_coverage, run_lil_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -330,6 +330,21 @@ def _cmd_simulate_coverage(args):
     return lines, parameters
 
 
+def _lil_verdict(report: DeviationReport) -> str:
+    """The LIL claim: at least 99% of each cell's statistics are at most ``LIL_BOUND``."""
+    satisfied = all(row.fraction_within(LIL_BOUND) >= 0.99 for row in report.rows)
+    return "bound satisfied" if satisfied else "bound exceeded"
+
+
+def _bias_verdict(report: DeviationReport) -> str:
+    """The bias-rate claim: each theta's statistic falls strictly as n grows, in any row order."""
+    by_theta = {}
+    for row in sorted(report.rows, key=lambda row: row.n):
+        by_theta.setdefault(row.theta, []).append(row.statistics[0])
+    decay = all(all(b < a for a, b in zip(s, s[1:])) for s in by_theta.values())
+    return "decay observed" if decay else "decay not observed"
+
+
 def _cmd_verify(args):
     config, parameters = _load_experiment(args)
     parameters["mode"] = args.mode
@@ -337,30 +352,20 @@ def _cmd_verify(args):
     if args.mode == "lil":
         report = run_lil_check(config)
         lines = ["mode,theta,n,B,stat_max,stat_mean,stat_p99,frac_within_bound"]
-        satisfied = True
         for row in report.rows:
             frac = row.fraction_within(LIL_BOUND)
-            satisfied = satisfied and frac >= 0.99
-            lines.append(
-                f"lil,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.stat_max)},"
-                f"{_fmt(row.stat_mean)},{_fmt(row.stat_p99)},{_fmt(frac)}"
-            )
-        verdict = "bound satisfied" if satisfied else "bound exceeded"
+            lines.append(f"lil,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.stat_max)},"
+                         f"{_fmt(row.stat_mean)},{_fmt(row.stat_p99)},{_fmt(frac)}")
+        verdict = _lil_verdict(report)
     else:
         if len(config.ns) < 2:
             raise ValueError(f"{args.config}: bias decay needs at least two sample sizes in 'ns'")
         report = run_bias_check(config)
         lines = ["mode,theta,n,B,statistic"]
-        decay = True
-        by_n = sorted(report.rows, key=lambda row: row.n)  # config ns may come in any order
-        for theta in config.thetas:
-            cell_stats = [row.statistics[0] for row in by_n if row.theta == theta]
-            decay = decay and all(b < a for a, b in zip(cell_stats, cell_stats[1:]))
-        for row in report.rows:
-            lines.append(f"bias,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.statistics[0])}")
-        verdict = "decay observed" if decay else "decay not observed"
-    lines.append(f"# verdict: {verdict}")
-    return lines, parameters
+        lines += [f"bias,{_fmt(row.theta)},{row.n},{row.B},{_fmt(row.statistics[0])}"
+                  for row in report.rows]
+        verdict = _bias_verdict(report)
+    return [*lines, f"# verdict: {verdict}"], parameters
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,11 +11,14 @@ determinism contract README.md states:
 * ``run_bias_check``: the normalized bias proxy R_n * sup |Ebar - C|.
 
 This docstring is the one account of how a run is split and drawn. Each
-experiment is a fold over one cell pipeline (``_cells``): one rank table
-per n, shared by every theta, one task per (theta, n, chunk) in that
-order, and one map over all tasks; only a run that starts a process pool
-imports the pool's modules. A task is a chunk of up to ``REPLICATE_CHUNK``
-replicates, run in row blocks of about ``_ROW_BLOCK`` draws (8 replicates
+experiment is a fold over one cell pipeline (``_cells``): one task per
+(theta, n, chunk) in that order, and one map over all tasks; only a run
+that starts a process pool imports the pool's modules. A task (``_Task``)
+names up to ``REPLICATE_CHUNK`` replicates r0..r1-1 of one cell by the
+cell's stream key, theta and n, and carries what its chunk function
+reads: the rank table of n (one per n, shared by every theta), and for
+coverage the truth and the band half-widths; bias tasks carry no array. Its
+replicates run in row blocks of about ``_ROW_BLOCK`` draws (8 replicates
 at n = 2000, a whole chunk at n = 50) so that each layer's arrays stay in
 cache. A row block makes one keyed draw (``_keyed_draws``), one Frank
 sampler call and one rank pass (``copbands.estimator``'s
@@ -27,8 +30,8 @@ generator draws. Coverage and the lil check then sum each replicate from
 the rank table with ``_table_sum``, as ``rank_estimate`` does; coverage
 workers return counts of ``covers`` over each half of a chunk's stack,
 and the lil check concatenates one cell's stacks at a time. The bias
-check forms no surface per replicate: its workers return rank-table rows,
-which ``_bias_mean`` folds.
+check forms no surface per replicate: its workers return rank-table rows
+(``_rank_rows``), which ``_bias_mean`` folds.
 
 Reports do not depend on the worker count, the chunk size or the row
 block: a replicate's stream depends only on its key, every layer works
@@ -43,6 +46,7 @@ from __future__ import annotations
 import numbers
 import operator
 import os
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
@@ -216,17 +220,20 @@ def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int) -> int:
     )
 
 
-def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int):
+_Task = namedtuple("_Task", "cell_key theta n r0 r1 table truth half_widths")
+
+
+def _keyed_draws(cell_key: int, r0: int, r1: int, n: int):
     """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one re-keyed Philox.
 
-    Row k holds what a Philox generator keyed by ``_stream_key(seed,
-    theta_idx, n_idx, r0 + k)`` draws first and second.
+    ``cell_key`` is the cell's ``_stream_key`` at replicate 0; row k holds
+    what a generator keyed by ``cell_key | (r0 + k)`` draws first and second.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
     u = np.empty((r1 - r0, n))
     w = np.empty((r1 - r0, n))
     for k, r in enumerate(range(r0, r1)):
-        key = _stream_key(seed, theta_idx, n_idx, r)
+        key = cell_key | r
         rng.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [key & 0xFFFFFFFFFFFFFFFF, key >> 64]},
@@ -240,43 +247,34 @@ def _keyed_draws(seed: int, theta_idx: int, n_idx: int, r0: int, r1: int, n: int
     return u, w
 
 
-def _rank_rows(args):
-    """Yield the ``_rank_pair_rows`` item of each replicate r0..r1-1, in order.
-
-    ``args`` starts with the stream fields (seed, theta, theta_idx, n, n_idx,
-    r0, r1); the draws, the sampler and the ranks run per row block.
-    """
-    (seed, theta, theta_idx, n, n_idx, r0, r1) = args[:7]
-    rows = max(1, _ROW_BLOCK // n)
-    for b in range(r0, r1, rows):
-        u, w = _keyed_draws(seed, theta_idx, n_idx, b, min(b + rows, r1), n)
-        yield from _rank_pair_rows(u, frank_conditional_sample(theta, u, w))
+def _rank_rows(task: _Task) -> list:
+    """The ``_rank_pair_rows`` items of the task's replicates in order, a row block at a time."""
+    rows = max(1, _ROW_BLOCK // task.n)
+    items = []
+    for b in range(task.r0, task.r1, rows):
+        u, w = _keyed_draws(task.cell_key, b, min(b + rows, task.r1), task.n)
+        items.extend(_rank_pair_rows(u, frank_conditional_sample(task.theta, u, w)))
+    return items
 
 
-def _grid_chunk(args):
-    """(r1 - r0, G, G) stack of the estimate surfaces of replicates r0..r1-1.
+def _grid_chunk(task: _Task) -> np.ndarray:
+    """(r1 - r0, G, G) stack of the estimate surfaces of the task's replicates.
 
     Each surface has the bits of ``rank_estimate`` on the replicate's sample.
     """
-    n, r0, r1, table = args[3], args[5], args[6], args[7]
-    even = np.ascontiguousarray(table[0::2])
-    rows = list(_rank_rows(args))
+    even = np.ascontiguousarray(task.table[0::2])
+    rows = _rank_rows(task)
     # allocated once the draws' and ranks' temporaries are freed; allocated
     # before them, it doubled the minor page faults of a coverage pass
-    stack = np.empty((r1 - r0, table.shape[1], table.shape[1]))
+    stack = np.empty((task.r1 - task.r0, task.table.shape[1], task.table.shape[1]))
     for surface, (xs, ys) in zip(stack, rows):
-        _table_sum(table, even, xs, ys, surface)
-    stack /= n
+        _table_sum(task.table, even, xs, ys, surface)
+    stack /= task.n
     return stack
 
 
-def _bias_chunk(args):
-    """Rank-table rows that replicates r0..r1-1 add to the bias fold: their ``_rank_rows``."""
-    return list(_rank_rows(args))
-
-
 def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
-    """Mean estimate surface of B replicates from their ``_bias_chunk`` rows: the bias fold.
+    """Mean estimate surface of B replicates from their ``_rank_rows``: the bias fold.
 
     The estimator is bilinear, Chat = (1/n) sum_i T[mx_i - 2]^T T[my_i - 2]
     for the rank table T, so the mean is T^T A / (nB), where row m - 2 of A
@@ -306,29 +304,25 @@ def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
     return _block_sum((factors[s], acc[s]) for s in _blocks(len(acc))) / (n * B)
 
 
-def _coverage_chunk(args):
+def _coverage_chunk(task: _Task) -> np.ndarray:
     """Covered replicates of one chunk, one count per band half-width."""
-    *grid_args, truth, half_widths = args
-    stack = _grid_chunk(grid_args)
+    stack = _grid_chunk(task)
     # covers takes half the stack at a time: with temporaries as large as the
     # whole stack, the free top of the C heap crossed malloc's trim threshold,
     # so chunks gave their memory back and faulted it in again
     halves = (stack[:len(stack) // 2], stack[len(stack) // 2:])
-    return np.array([sum(np.count_nonzero(covers(half, hw, truth)) for half in halves)
-                     for hw in half_widths])
+    return np.array([sum(np.count_nonzero(covers(half, hw, task.truth)) for half in halves)
+                     for hw in task.half_widths])
 
 
-def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, table: (table,)):
-    """Yield ``(theta_idx, n_idx, rank table, chunk results)`` per cell in (theta, n) order.
+def _rank_tables(config: ExperimentConfig) -> list:
+    """The rank table of each n, in ``config.ns`` order."""
+    knots = interior_grid(config.grid_resolution)
+    return [rank_table(n, config.bandwidth_for(n), knots) for n in config.ns]
 
-    One rank table per n and one task per (theta, n, chunk): the stream
-    fields (seed, theta, theta_idx, n, n_idx, r0, r1) extended by the tuple
-    ``extras(theta_idx, n_idx, table)``, by default the table alone.
-    ``chunk_fn`` maps over all tasks at once: lazily in process for one
-    worker, else through a single process pool of at most one worker per
-    task. The chunk results are an iterator over the cell's chunks in order;
-    exhaust it before taking the next cell.
-    """
+
+def _worker_count(workers) -> int:
+    """``workers``, else ``WORKERS_ENV`` (default 1), checked >= 1; runs call it before any work."""
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
         if not raw.strip().isdecimal() or int(raw) < 1:
@@ -337,12 +331,25 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, tabl
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError("worker count must be >= 1")
-    knots = interior_grid(config.grid_resolution)
-    tables = [rank_table(n, config.bandwidth_for(n), knots) for n in config.ns]
+    return workers
+
+
+def _cells(config: ExperimentConfig, workers, chunk_fn, tables=None, truths=None, half_widths=None):
+    """Yield ``(theta_idx, n_idx, chunk results)`` per cell in (theta, n) order.
+
+    One ``_Task`` per (theta, n, chunk), whose ``table``, ``truth`` and
+    ``half_widths`` are ``tables[n_idx]``, ``truths[theta_idx]`` and
+    ``half_widths[theta_idx][n_idx]`` of the lists given, else None: bias
+    tasks carry no table. ``chunk_fn`` maps over all tasks at once: lazily
+    in process for one worker, else through a single process pool of at
+    most one worker per task. The chunk results are an iterator over the
+    cell's chunks in order; exhaust it before taking the next cell.
+    """
     chunks = [(r0, min(r0 + REPLICATE_CHUNK, config.B))
               for r0 in range(0, config.B, REPLICATE_CHUNK)]
     cells = [(i, j) for i in range(len(config.thetas)) for j in range(len(config.ns))]
-    tasks = [(config.seed, config.thetas[i], i, config.ns[j], j, r0, r1, *extras(i, j, tables[j]))
+    tasks = [_Task(_stream_key(config.seed, i, j, 0), config.thetas[i], config.ns[j], r0, r1,
+                   tables and tables[j], truths and truths[i], half_widths and half_widths[i][j])
              for i, j in cells for r0, r1 in chunks]
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
     serial = workers == 1
@@ -351,7 +358,7 @@ def _cells(config: ExperimentConfig, workers, chunk_fn, extras=lambda i, j, tabl
     with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
         results = map(chunk_fn, tasks) if serial else pool.map(chunk_fn, tasks)
         for i, j in cells:
-            yield i, j, tables[j], islice(results, len(chunks))
+            yield i, j, islice(results, len(chunks))
 
 
 def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
@@ -364,38 +371,29 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     (method, theta, n) order with Monte Carlo standard errors
     sqrt(p(1-p)/B) attached.
     """
+    workers = _worker_count(workers)
     knots = interior_grid(config.grid_resolution)
     need_sigma2 = any(spec.method is BandMethod.NORMAL for spec in config.band_specs)
-    extras = []  # per cell: the truth surface and one half-width per band
+    truths, half_widths = [], []  # per theta; half-widths per n, one per band
     for theta in config.thetas:
-        truth = frank_cdf(theta, knots[:, None], knots[None, :])
+        truths.append(frank_cdf(theta, knots[:, None], knots[None, :]))
         sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :]) if need_sigma2 else None
-        extras.append([(truth, [half_width(spec, n, sigma2) for spec in config.band_specs])
-                       for n in config.ns])
+        half_widths.append([[half_width(spec, n, sigma2) for spec in config.band_specs]
+                            for n in config.ns])
 
     counts = np.zeros((len(config.thetas), len(config.ns), len(config.band_specs)), dtype=int)
-    cells = _cells(config, workers, _coverage_chunk, lambda i, j, table: (table, *extras[i][j]))
-    for i, j, _, chunk_counts in cells:
+    cells = _cells(config, workers, _coverage_chunk, _rank_tables(config), truths, half_widths)
+    for i, j, chunk_counts in cells:
         counts[i, j] = np.sum(list(chunk_counts), axis=0)
 
     rows = []
     for k, spec in enumerate(config.band_specs):
         for i, theta in enumerate(config.thetas):
             for j, n in enumerate(config.ns):
-                covered = int(counts[i, j, k])
-                p = covered / config.B
-                stderr = float(np.sqrt(p * (1.0 - p) / config.B))
-                rows.append(
-                    CoverageRow(
-                        method=spec.method.value,
-                        theta=float(theta),
-                        n=int(n),
-                        coverage=p,
-                        mc_stderr=stderr,
-                        B=config.B,
-                        seed=config.seed,
-                    )
-                )
+                p = int(counts[i, j, k]) / config.B
+                rows.append(CoverageRow(method=spec.method.value, theta=float(theta), n=int(n),
+                                        coverage=p, B=config.B, seed=config.seed,
+                                        mc_stderr=float(np.sqrt(p * (1.0 - p) / config.B))))
     return CoverageReport(tuple(rows))
 
 
@@ -409,16 +407,12 @@ def run_lil_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     if config.B < 100:
         raise ValueError("lil check requires B >= 100 (mean-surface proxy accuracy)")
     rows = []
-    for i, j, _, stacks in _cells(config, workers, _grid_chunk):
+    for i, j, stacks in _cells(config, _worker_count(workers), _grid_chunk, _rank_tables(config)):
         grids = np.concatenate(list(stacks), axis=0)
         n = config.ns[j]
         stats = rn(n) * np.max(np.abs(grids - grids.mean(axis=0)), axis=(1, 2))
-        rows.append(
-            DeviationRow(
-                theta=config.thetas[i], n=n, B=config.B,
-                statistics=tuple(float(s) for s in stats),
-            )
-        )
+        rows.append(DeviationRow(theta=config.thetas[i], n=n, B=config.B,
+                                 statistics=tuple(float(s) for s in stats)))
     return DeviationReport(mode="lil", rows=tuple(rows))
 
 
@@ -431,11 +425,12 @@ def run_bias_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """
     if config.B < 1000:
         raise ValueError("bias check requires B >= 1000 (mean-surface proxy accuracy)")
+    workers = _worker_count(workers)
     knots = interior_grid(config.grid_resolution)
     truths = [frank_cdf(theta, knots[:, None], knots[None, :]) for theta in config.thetas]
-    rows = []
-    for i, j, table, chunks in _cells(config, workers, _bias_chunk, lambda i, j, table: ()):
-        mean_surface = _bias_mean(table, chunks, config.B)
+    tables, rows = _rank_tables(config), []
+    for i, j, chunks in _cells(config, workers, _rank_rows):
+        mean_surface = _bias_mean(tables[j], chunks, config.B)
         stat = rn(config.ns[j]) * float(np.max(np.abs(mean_surface - truths[i])))
         rows.append(DeviationRow(theta=config.thetas[i], n=config.ns[j], B=config.B,
                                  statistics=(stat,)))

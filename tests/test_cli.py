@@ -20,6 +20,7 @@ from copbands.bands import BandMethod, BandSpec, half_width
 from copbands.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from copbands.copula import frank_sigma2
 from copbands.estimator import interior_grid
+from copbands.montecarlo import DeviationReport, DeviationRow
 
 
 def _write(path, text):
@@ -706,6 +707,42 @@ def test_verify_bias_compares_in_increasing_n(tmp_path):
     lines = out.read_text().splitlines()
     assert [line.split(",")[2] for line in lines[1:3]] == ["32", "16"]
     assert lines[-1] == "# verdict: decay observed"
+
+
+def _report(mode, cells):
+    """A DeviationReport with one row per (theta, n, statistics) cell, in the order given."""
+    return DeviationReport(mode, tuple(DeviationRow(theta, n, len(stats), tuple(stats))
+                                       for theta, n, stats in cells))
+
+
+@pytest.mark.parametrize("within, verdict", [(99, "bound satisfied"), (98, "bound exceeded")],
+                         ids=["99-of-100", "98-of-100"])
+def test_lil_verdict_needs_99_percent_of_every_cell_within_the_bound(within, verdict):
+    # a statistic equal to LIL_BOUND is within it, and 99 of 100 is exactly 99%
+    above = math.nextafter(cli.LIL_BOUND, math.inf)
+    edge = (cli.LIL_BOUND,) * within + (above,) * (100 - within)
+    calm = (0.41,) * 100
+    for cells in ([(1.0, 16, calm), (1.0, 32, edge)], [(1.0, 16, edge), (2.0, 16, calm)]):
+        assert cli._lil_verdict(_report("lil", cells)) == verdict
+
+
+@pytest.mark.parametrize("ns", [(16, 32, 64), (64, 16, 32)], ids=["ns-in-order", "ns-shuffled"])
+@pytest.mark.parametrize(
+    "stats, verdict",
+    [
+        ((0.3, 0.2, 0.1), "decay observed"),
+        ((0.3, 0.3, 0.1), "decay not observed"),  # two equal consecutive statistics
+        ((0.3, 0.1, 0.2), "decay not observed"),  # falls from the smallest to the largest n only
+    ],
+    ids=["strict", "equal-pair", "not-monotone"],
+)
+def test_bias_verdict_needs_a_strict_fall_in_n_for_every_theta(ns, stats, verdict):
+    by_n = dict(zip((16, 32, 64), stats))
+    decaying = dict(zip((16, 32, 64), (0.9, 0.5, 0.4)))
+    cells = [(theta, n, (table[n],)) for theta, table in ((1.0, decaying), (-2.0, by_n))
+             for n in ns]
+    assert cli._bias_verdict(_report("bias", cells)) == verdict
+    assert cli._bias_verdict(_report("bias", cells[::-1])) == verdict
 
 
 @pytest.mark.parametrize(

@@ -420,7 +420,9 @@ def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(monkeypatch, n
     reference.coarsen(monkeypatch, coarse)
     table = rank_table(n, default_bandwidth(n), interior_grid(33))
     seed, theta, r0, r1 = 2**33 + 5, 1.0, 64, 128
-    stack = montecarlo._grid_chunk((seed, theta, 0, n, 1, r0, r1, table))
+    task = montecarlo._Task(montecarlo._stream_key(seed, 0, 1, 0), theta, n, r0, r1, table,
+                            None, None)
+    stack = montecarlo._grid_chunk(task)
     us, vs = reference.sample(seed, 0, 1, range(r0, r1), theta, n, coarse)
     assert stack.shape == (r1 - r0, 33, 33)
     assert np.array_equal(stack, [_tiled_estimate(table, u, v) for u, v in zip(us, vs)])

@@ -142,8 +142,8 @@ def test_stream_key_is_injective_across_fields():
 
 
 def test_replicate_streams_are_distinct():
-    (a, b), _ = montecarlo._keyed_draws(99, 0, 0, 0, 2, 4)
-    (c,), _ = montecarlo._keyed_draws(99, 0, 1, 0, 1, 4)
+    (a, b), _ = montecarlo._keyed_draws(_stream_key(99, 0, 0, 0), 0, 2, 4)
+    (c,), _ = montecarlo._keyed_draws(_stream_key(99, 0, 1, 0), 0, 1, 4)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
 
@@ -152,7 +152,7 @@ def test_chunk_engine_matches_per_replicate_reference():
     # the state reset keys every field at its widest value as a generator
     # keyed by the documented layout does
     top = (2**64 - 1, 2**16 - 1, 2**16 - 1)
-    u, w = montecarlo._keyed_draws(*top, 2**32 - 2, 2**32, 50)
+    u, w = montecarlo._keyed_draws(_stream_key(*top, 0), 2**32 - 2, 2**32, 50)
     for k, r in enumerate((2**32 - 2, 2**32 - 1)):
         ref_u, ref_w = reference.draws(*top, r, 50)
         assert np.array_equal(u[k], ref_u)
@@ -265,10 +265,13 @@ def test_pool_has_at_most_one_worker_per_task(recording_pool, monkeypatch):
 
 @pytest.mark.parametrize("raw", ["1.5", "0", "-1", "+2", "", " ", "two"])
 def test_worker_variable_must_be_a_positive_integer(recording_pool, monkeypatch, raw):
+    # every run rejects the count before it builds a rank table
     monkeypatch.setenv(WORKERS_ENV, raw)
+    monkeypatch.setattr(montecarlo, "rank_table", None)
     message = f"{WORKERS_ENV} must be an integer >= 1, not {raw!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run_coverage(_small_config(B=8, grid_resolution=5))
+    for run in (run_coverage, run_lil_check, run_bias_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(_small_config(B=1000, grid_resolution=5))
     assert recording_pool.sizes == []
 
 
@@ -402,7 +405,8 @@ def test_bias_check_does_not_depend_on_blas_threads():
         "cfg = mc.ExperimentConfig(thetas=(5.0,), ns=(2000,), B=1000, seed=0)\n"
         "print(repr(mc.run_bias_check(cfg, workers=1)))\n"
         "table = rank_table(2000, default_bandwidth(2000), interior_grid(33))\n"
-        "chunks = (mc._bias_chunk((0, 5.0, 0, 2000, 0, r0, min(r0 + 64, 1000)))\n"
+        "chunks = (mc._rank_rows(mc._Task(mc._stream_key(0, 0, 0, 0), 5.0, 2000, r0,\n"
+        "                                 min(r0 + 64, 1000), None, None, None))\n"
         "          for r0 in range(0, 1000, 64))\n"
         "print(hashlib.sha256(mc._bias_mean(table, chunks, 1000).tobytes()).hexdigest())\n"
     )
@@ -425,7 +429,8 @@ def test_coverage_does_not_depend_on_blas_threads():
         "for i, theta in enumerate(cfg.thetas):\n"
         "    for j, n in enumerate(cfg.ns):\n"
         "        table = rank_table(n, default_bandwidth(n), interior_grid(33))\n"
-        "        stack = mc._grid_chunk((0, theta, i, n, j, 0, 64, table))\n"
+        "        task = mc._Task(mc._stream_key(0, i, j, 0), theta, n, 0, 64, table, None, None)\n"
+        "        stack = mc._grid_chunk(task)\n"
         "        print(hashlib.sha256(stack.tobytes()).hexdigest())\n"
     )
     assert one == two
@@ -503,7 +508,7 @@ def test_bias_tasks_carry_no_rank_table(recording_pool, monkeypatch):
     cfg = _small_config(ns=(16, 24), B=1000, grid_resolution=5)
     assert run_bias_check(cfg, workers=2) == run_bias_check(cfg, workers=1)
     assert len(tasks) == 2 * math.ceil(1000 / REPLICATE_CHUNK)
-    assert all(len(task) == 7 and not any(isinstance(a, np.ndarray) for a in task)
+    assert all(task.table is None and not any(isinstance(a, np.ndarray) for a in task)
                for task in tasks)
 
 

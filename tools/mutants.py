@@ -21,7 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 TESTS = ["tests/test_specfun.py", "tests/test_copula.py", "tests/test_bands.py",
-         "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py"]
+         "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py",
+         "tests/test_cli.py"]
 
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
@@ -34,9 +35,15 @@ MUTANTS = [
     ("full[0::2] += even dropped in _bias_mean", "montecarlo.py",
      "full[0::2] += even", "pass"),
     ("stack /= n dropped in _grid_chunk", "montecarlo.py",
-     "stack /= n", "pass"),
+     "stack /= task.n", "pass"),
     ("w drawn before u in _keyed_draws", "montecarlo.py",
      "return u, w", "return w, u"),
+    ("replicate r keyed as r + 1 in _keyed_draws", "montecarlo.py",
+     "key = cell_key | r", "key = cell_key | (r + 1)"),
+    ("every coverage task given the first theta's truth in _cells", "montecarlo.py",
+     "truths and truths[i]", "truths and truths[0]"),
+    ("every coverage task given the first n's half-widths in _cells", "montecarlo.py",
+     "half_widths and half_widths[i][j]", "half_widths and half_widths[i][0]"),
     ("theta and n fields swapped in _stream_key", "montecarlo.py",
      "def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int)",
      "def _stream_key(seed: int, n_idx: int, theta_idx: int, r: int)"),
@@ -62,6 +69,13 @@ MUTANTS = [
      "stats = rn(n) * np.max(", "stats = 1.5 * rn(n) * np.max("),
     ("0.75 of the kernel CDF one ulp high", "specfun.py",
      "np.subtract(0.75, out, out=out)", "np.subtract(0.7500000000000001, out, out=out)"),
+    ("99% made 50% in _lil_verdict", "cli.py",
+     ">= 0.99 for row in report.rows", ">= 0.5 for row in report.rows"),
+    ("strict decay made non-strict in _bias_verdict", "cli.py",
+     "all(b < a for a, b in zip(s, s[1:]))", "all(b <= a for a, b in zip(s, s[1:]))"),
+    ("decay tested between the smallest and the largest n only in _bias_verdict", "cli.py",
+     "all(all(b < a for a, b in zip(s, s[1:])) for s in by_theta.values())",
+     "all(s[-1] < s[0] for s in by_theta.values())"),
     # reports do not depend on the chunk size: only test_chunk_constant_is_frozen should kill it
     ("REPLICATE_CHUNK = 17", "montecarlo.py",
      "REPLICATE_CHUNK = 64", "REPLICATE_CHUNK = 17"),
@@ -76,7 +90,8 @@ def failing(root: Path) -> list:
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *TESTS],
         cwd=root, env=env, capture_output=True, text=True,
     )
-    return re.findall(r"^(?:FAILED|ERROR) (\S+?)(?: - .*)?$", done.stdout, re.M)
+    # a parametrized id may hold spaces; " - " starts the failure message
+    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.M)
 
 
 def by_function(ids) -> str:
