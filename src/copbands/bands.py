@@ -74,6 +74,8 @@ class BandSpec:
             raise ValueError("A must be positive and finite")
         if not -1.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (-1, 1)")
+        if not math.isfinite((1.0 + self.epsilon) * self.A):
+            raise ValueError("(1 + epsilon) * A must be finite (the LIL half-width overflows)")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
 

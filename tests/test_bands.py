@@ -54,6 +54,9 @@ def test_band_spec_defaults_and_validation():
         BandSpec(BandMethod.LIL, A=float("inf"))
     with pytest.raises(ValueError):
         BandSpec(BandMethod.LIL, epsilon=1.0)
+    with pytest.raises(ValueError, match=r"\(1 \+ epsilon\) \* A must be finite"):
+        BandSpec(BandMethod.LIL, A=1.5e308, epsilon=0.5)
+    assert BandSpec(BandMethod.LIL, A=1.5e308, epsilon=0.19).A == 1.5e308
     with pytest.raises(ValueError):
         BandSpec(BandMethod.NORMAL, confidence=1.0)
     with pytest.raises(ValueError):

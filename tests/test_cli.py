@@ -1,4 +1,12 @@
-"""Command-line interface: subcommands, config parsing, exit codes, CSV."""
+"""Command-line interface: subcommands, config parsing, exit codes, CSV.
+
+Every rejection runs through ``_rejected``, which checks the exit code and
+that neither the CSV nor its manifest is left behind. The wiring tests set
+every option or config key off its default and compare the output with the
+library's: ``test_estimate_custom_grid_and_bandwidth``,
+``test_bands_are_center_plus_minus_half_width``,
+``test_simulate_coverage_happy_path`` and ``test_verify_*_writes_verdict``.
+"""
 
 import hashlib
 import json
@@ -19,8 +27,9 @@ import copbands.cli as cli
 from copbands.bands import BandMethod, BandSpec, half_width
 from copbands.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from copbands.copula import frank_sigma2
-from copbands.estimator import interior_grid
-from copbands.montecarlo import DeviationReport, DeviationRow
+from copbands.estimator import PairedSample, estimate_grid, interior_grid
+from copbands.montecarlo import DeviationReport, DeviationRow, ExperimentConfig
+from copbands.montecarlo import run_bias_check, run_coverage, run_lil_check
 
 
 def _write(path, text):
@@ -29,17 +38,39 @@ def _write(path, text):
 
 
 def _config(tmp_path, name="exp.cfg", **overrides):
-    entries = {
-        "thetas": "1",
-        "ns": "16",
-        "B": "10",
-        "seed": "5",
-        "methods": "lil",
-        "grid": "5",
-    }
-    entries.update(overrides)
+    entries = {"thetas": "1", "ns": "16", "B": "10", "seed": "5", "methods": "lil", "grid": "5",
+               **overrides}
     lines = [f"{k} = {v}" for k, v in entries.items() if v is not None]
     return _write(tmp_path / name, "\n".join(lines) + "\n")
+
+
+def _rejected(tmp_path, capsys, argv, code=EXIT_USAGE):
+    """stderr of ``main(argv)`` with an ``--out``; the run must exit with
+    ``code`` and leave neither the CSV nor its manifest."""
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    return capsys.readouterr().err
+
+
+def _config_rejected(tmp_path, capsys, cfg, command=("simulate-coverage",)):
+    return _rejected(tmp_path, capsys, [*command, "--config", str(cfg)])
+
+
+def _read_table(path):
+    """Header and float rows of a CSV that ``main`` wrote."""
+    header, *lines = path.read_text().splitlines()
+    return header, np.array([line.split(",") for line in lines], dtype=float)
+
+
+def _knot_table(knots, *surfaces):
+    """The rows ``u, v, surface values`` of every knot pair, u-major."""
+    u, v = np.meshgrid(knots, knots, indexing="ij")
+    return np.column_stack([u.ravel(), v.ravel(), *(s.ravel() for s in surfaces)])
+
+
+def _library_estimate(data, h, knots):
+    return estimate_grid(PairedSample(*np.loadtxt(data, delimiter=",", skiprows=1).T), h, knots)
 
 
 # ---------------------------------------------------------------- estimate
@@ -61,14 +92,6 @@ def test_estimate_happy_path(frank_xy, tmp_path):
     assert manifest["version"]
 
 
-def test_estimate_is_deterministic(frank_xy, tmp_path):
-    data = frank_xy(n=40)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["estimate", str(data), "--out", str(out1)]) == EXIT_OK
-    assert main(["estimate", str(data), "--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 @pytest.mark.parametrize("tied", [False, True])
 def test_estimate_does_not_depend_on_row_order(frank_xy, tmp_path, tied):
     # 2000 rows span four blocks of the estimator sum; rounding ties both margins
@@ -85,17 +108,9 @@ def test_estimate_does_not_depend_on_row_order(frank_xy, tmp_path, tied):
     assert outputs[0] == outputs[1]
 
 
-def test_estimate_rejects_few_rows(frank_xy, tmp_path, capsys):
-    data = frank_xy(n=10)
-    code = main(["estimate", str(data), "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_USAGE
-    assert "16" in capsys.readouterr().err
-
-
 def test_estimate_rejects_bad_header(tmp_path, capsys):
     data = _write(tmp_path / "bad.csv", "a,b\n1,2\n3,4\n")
-    assert main(["estimate", str(data), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-    assert "expected header 'x,y'" in capsys.readouterr().err
+    assert "expected header 'x,y'" in _rejected(tmp_path, capsys, ["estimate", str(data)])
 
 
 @pytest.mark.parametrize("command", ["estimate", "bands"])
@@ -114,28 +129,24 @@ def test_estimate_reports_bad_cell_location(tmp_path, capsys):
     rows = ["x,y"] + [f"{i}.0,{i}.5" for i in range(20)]
     rows[3] = "2.0,oops"
     data = _write(tmp_path / "bad.csv", "\n".join(rows) + "\n")
-    assert main(["estimate", str(data), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _rejected(tmp_path, capsys, ["estimate", str(data)])
     assert ":4:" in err and "'oops'" in err and "column y" in err
 
 
 def test_estimate_rejects_non_finite_value(tmp_path, capsys):
     rows = ["x,y"] + [f"{i}.0,{i}.5" for i in range(20)] + ["inf,1.0"]
     data = _write(tmp_path / "bad.csv", "\n".join(rows) + "\n")
-    assert main(["estimate", str(data), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-    assert "non-finite" in capsys.readouterr().err
+    assert "non-finite" in _rejected(tmp_path, capsys, ["estimate", str(data)])
 
 
 def test_estimate_missing_file(tmp_path, capsys):
-    assert main(["estimate", str(tmp_path / "no.csv"), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-    assert "no.csv" in capsys.readouterr().err
+    assert "no.csv" in _rejected(tmp_path, capsys, ["estimate", str(tmp_path / "no.csv")])
 
 
 def test_non_utf8_input_names_the_file(tmp_path, capsys):
     data = tmp_path / "latin.csv"
     data.write_bytes(b"x,y\n1,2\n\xff\xfe,3\n")
-    assert main(["estimate", str(data), "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _rejected(tmp_path, capsys, ["estimate", str(data)])
     assert err.startswith(f"error: {data}: not UTF-8 text") and "\\xff" in err
 
 
@@ -159,11 +170,15 @@ def test_options_are_checked_before_the_file(tmp_path, capsys, argv, message):
 
 
 def test_estimate_unwritable_out_names_the_path(frank_xy, tmp_path, capsys):
+    # --out in a missing directory, and --out an existing directory
     data = frank_xy(n=30)
-    out = tmp_path / "missing" / "x.csv"
-    assert main(["estimate", str(data), "--out", str(out)]) == EXIT_USAGE
-    assert str(out) in capsys.readouterr().err
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for out in (tmp_path / "missing" / "x.csv", folder):
+        assert main(["estimate", str(data), "--out", str(out)]) == EXIT_USAGE
+        assert f"error: {out}:" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+    assert folder.is_dir() and not Path(f"{folder}.manifest.json").exists()
 
 
 def test_unwritable_manifest_leaves_no_csv(frank_xy, tmp_path, capsys):
@@ -177,14 +192,17 @@ def test_unwritable_manifest_leaves_no_csv(frank_xy, tmp_path, capsys):
 
 
 def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
+    # every option off its default: the output is the library's estimate
     data = frank_xy(n=30)
     out = tmp_path / "est.csv"
     assert main(["estimate", str(data), "--grid", "5", "--bandwidth", "0.4",
                  "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 25
+    header, table = _read_table(out)
+    knots = interior_grid(5)
+    assert header == "u,v,estimate"
+    np.testing.assert_array_equal(table, _knot_table(knots, _library_estimate(data, 0.4, knots)))
     manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
-    assert manifest["parameters"]["bandwidth"] == 0.4
+    assert manifest["parameters"] == {"input": str(data), "n": 30, "grid": 5, "bandwidth": 0.4}
 
 
 @pytest.mark.parametrize("command", ["estimate", "bands"])
@@ -196,12 +214,8 @@ def test_estimate_custom_grid_and_bandwidth(frank_xy, tmp_path):
 )
 def test_invalid_grid_or_bandwidth_exits_2(frank_xy, tmp_path, capsys, command, option,
                                            message):
-    data = frank_xy(n=30)
-    out = tmp_path / "x.csv"
-    assert main([command, str(data), option, "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _rejected(tmp_path, capsys, [command, str(frank_xy(n=30)), option])
     assert err.startswith("error: ") and message in err
-    assert not out.exists()
 
 
 COMMANDS = {
@@ -326,6 +340,8 @@ READER_CASES = {
     "blank-lines": (_csv(["", *_ROWS[:9], "", "", *_ROWS[9:], ""]), True),
     "padded-cells": (_with(" 1.5 , 2 "), True),
     "16-rows": (_csv(_ROWS[:16]), True),
+    "padded-header": (_csv(_ROWS, head=" x , y "), True),
+    "quoted-header": (_csv(_ROWS, head='"x","y"'), True),
     "50k-rows": (_csv(_big_rows()), True),
     "whitespace-line": (_with("  \t "), False),
     "hash-line": (_with("# a comment"), False),
@@ -413,105 +429,57 @@ def test_clean_file_takes_the_fast_path(frank_xy, tmp_path, monkeypatch):
 
 
 def test_bands_lil_half_width_constant(frank_xy, tmp_path):
-    data = frank_xy(n=50)
     out = tmp_path / "bands.csv"
-    assert main(["bands", str(data), "--no-clamp", "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "u,v,lower,center,upper"
-    assert len(lines) == 1 + 33 * 33
-    widths = set()
-    for line in lines[1:]:
-        _, _, lower, center, upper = line.split(",")
-        widths.add(round(float(upper) - float(center), 15))
-        assert float(upper) - float(center) == pytest.approx(
-            0.11679274947052345, abs=1e-12
-        )
-        assert float(center) - float(lower) == pytest.approx(
-            0.11679274947052345, abs=1e-12
-        )
-    assert len(widths) <= 2  # constant up to the last-digit rounding
+    assert main(["bands", str(frank_xy(n=50)), "--no-clamp", "--out", str(out)]) == EXIT_OK
+    header, table = _read_table(out)
+    assert header == "u,v,lower,center,upper" and len(table) == 33 * 33
+    widths = table[:, 4] - table[:, 3]
+    np.testing.assert_allclose(widths, 0.11679274947052345, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table[:, 3] - table[:, 2], 0.11679274947052345, rtol=0, atol=1e-12)
+    assert len(set(np.round(widths, 15))) <= 2  # constant up to the last-digit rounding
 
 
 def test_bands_lil_n500_half_width(frank_xy, tmp_path):
     data = frank_xy(n=500)
     out = tmp_path / "bands.csv"
     assert main(["bands", str(data), "--no-clamp", "--grid", "5", "--out", str(out)]) == EXIT_OK
-    line = out.read_text().splitlines()[1]
-    _, _, lower, center, upper = line.split(",")
-    assert float(upper) - float(center) == pytest.approx(0.042742, abs=1e-6)
-
-
-def test_bands_epsilon_nesting(frank_xy, tmp_path):
-    data = frank_xy(n=50)
-    inner_path = tmp_path / "inner.csv"
-    outer_path = tmp_path / "outer.csv"
-    assert main(["bands", str(data), "--epsilon", "-0.5", "--grid", "7",
-                 "--out", str(inner_path)]) == EXIT_OK
-    assert main(["bands", str(data), "--epsilon", "0", "--grid", "7",
-                 "--out", str(outer_path)]) == EXIT_OK
-    inner = np.loadtxt(inner_path, delimiter=",", skiprows=1)
-    outer = np.loadtxt(outer_path, delimiter=",", skiprows=1)
-    assert np.all(inner[:, 2] >= outer[:, 2])  # lower surfaces nested
-    assert np.all(inner[:, 4] <= outer[:, 4])  # upper surfaces nested
+    _, table = _read_table(out)
+    assert table[0, 4] - table[0, 3] == pytest.approx(0.042742, abs=1e-6)
 
 
 @pytest.mark.parametrize("clamp", [True, False], ids=["clamp", "no-clamp"])
 @pytest.mark.parametrize("method", ["lil", "normal"])
 def test_bands_are_center_plus_minus_half_width(frank_xy, tmp_path, method, clamp):
-    # n = 16 puts lower bounds below 0 near the corner knot 1/34
+    # every option off its default; n = 16 puts lower bounds below 0 near the corner knot 1/10
     data = frank_xy(n=16)
     out = tmp_path / "b.csv"
-    argv = ["bands", str(data), "--method", method, "--theta", "1", "--out", str(out)]
+    argv = ["bands", str(data), "--method", method, "--grid", "9", "--bandwidth", "0.35",
+            "--A", "0.7", "--epsilon", "-0.25", "--confidence", "0.9", "--theta", "2",
+            "--out", str(out)]
     assert main(argv + ([] if clamp else ["--no-clamp"])) == EXIT_OK
-    table = np.loadtxt(out, delimiter=",", skiprows=1)
-    knots = interior_grid(33)
-    center = table[:, 3].reshape(33, 33)
-    spec = BandSpec(BandMethod(method))
-    hw = half_width(spec, 16, frank_sigma2(1.0, knots[:, None], knots[None, :]))
+    knots = interior_grid(9)
+    center = _library_estimate(data, 0.35, knots)
+    spec = BandSpec(BandMethod(method), A=0.7, epsilon=-0.25, confidence=0.9)
+    hw = half_width(spec, 16, frank_sigma2(2.0, knots[:, None], knots[None, :]))
     lower, upper = center - hw, center + hw
     assert lower[0, 0] < 0.0
     if clamp:
         lower, upper = np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
-    np.testing.assert_array_equal(table[:, 2], lower.ravel())
-    np.testing.assert_array_equal(table[:, 4], upper.ravel())
+    header, table = _read_table(out)
+    assert header == "u,v,lower,center,upper"
+    np.testing.assert_array_equal(table, _knot_table(knots, lower, center, upper))
     manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert manifest["parameters"]["clamp"] is clamp
-
-
-def test_bands_normal_requires_theta(frank_xy, tmp_path, capsys):
-    data = frank_xy(n=50)
-    code = main(["bands", str(data), "--method", "normal", "--out", str(tmp_path / "b.csv")])
-    assert code == EXIT_USAGE
-    assert "--theta" in capsys.readouterr().err
-
-
-def test_bands_normal_with_theta(frank_xy, tmp_path):
-    data = frank_xy(n=50)
-    out = tmp_path / "b.csv"
-    assert main(["bands", str(data), "--method", "normal", "--theta", "1",
-                 "--grid", "7", "--out", str(out)]) == EXIT_OK
-    table = np.loadtxt(out, delimiter=",", skiprows=1)
-    hw = table[:, 4] - table[:, 3]
-    assert hw.std() > 0.0  # pointwise width varies over the grid
-    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert manifest["parameters"]["theta"] == 1.0
+    assert manifest["parameters"] == {
+        "input": str(data), "n": 16, "grid": 9, "bandwidth": 0.35, "method": method, "A": 0.7,
+        "epsilon": -0.25, "confidence": 0.9, "theta": 2.0, "clamp": clamp}
 
 
 @pytest.mark.parametrize("command", ["estimate", "bands"])
 def test_few_rows_rejected_naming_file_floor_and_reason(frank_xy, tmp_path, capsys, command):
-    data = frank_xy(n=10)
-    out = tmp_path / "x.csv"
-    assert main([command, str(data), "--out", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert str(data) in err and "found 10" in err and "16" in err and "R_n" in err
-    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
-
-
-def test_bands_small_n_names_the_constraint(frank_xy, tmp_path, capsys):
-    data = frank_xy(n=12)
-    code = main(["bands", str(data), "--out", str(tmp_path / "b.csv")])
-    assert code == EXIT_USAGE
-    assert "R_n" in capsys.readouterr().err
+    for n in (10, 15):  # 15 clean rows: one below the floor
+        data = frank_xy(n=n)
+        err = _rejected(tmp_path, capsys, [command, str(data)])
+        assert str(data) in err and f"found {n}" in err and "16" in err and "R_n" in err
 
 
 @pytest.mark.parametrize(
@@ -521,16 +489,16 @@ def test_bands_small_n_names_the_constraint(frank_xy, tmp_path, capsys):
         (["--method", "normal", "--theta", "1", "--epsilon", "3", "--A", "-2"], "A must be positive"),
         (["--A", "inf", "--no-clamp"], "A must be positive and finite"),
         (["--method", "lil", "--theta", "nan"], "theta must be a finite real number"),
+        (["--A", "1.5e308", "--epsilon", "0.5", "--no-clamp"], "(1 + epsilon) * A must be finite"),
+        (["--method", "normal"], "--method normal requires --theta"),
     ],
-    ids=["lil-confidence", "normal-A-epsilon", "A-inf", "lil-theta-nan"],
+    ids=["lil-confidence", "normal-A-epsilon", "A-inf", "lil-theta-nan", "A-epsilon-overflow",
+         "normal-no-theta"],
 )
 def test_bands_checks_every_band_option(frank_xy, tmp_path, capsys, options, message):
     # options the chosen method does not use are still checked
-    data = frank_xy(n=50)
-    out = tmp_path / "b.csv"
-    assert main(["bands", str(data), *options, "--out", str(out)]) == EXIT_USAGE
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    err = _rejected(tmp_path, capsys, ["bands", str(frank_xy(n=50)), *options])
+    assert f"error: {message}" in err
 
 
 def test_bands_numeric_failure_exit_code(frank_xy, tmp_path, capsys, monkeypatch):
@@ -539,27 +507,49 @@ def test_bands_numeric_failure_exit_code(frank_xy, tmp_path, capsys, monkeypatch
         return np.full(np.broadcast(u, v).shape, -1.0)
 
     monkeypatch.setattr(cli, "frank_sigma2", negative_sigma2)
-    data = frank_xy(n=50)
-    code = main(["bands", str(data), "--method", "normal", "--theta", "1",
-                 "--grid", "5", "--out", str(tmp_path / "b.csv")])
-    assert code == EXIT_NUMERIC
-    assert "numeric failure" in capsys.readouterr().err
+    argv = ["bands", str(frank_xy(n=50)), "--method", "normal", "--theta", "1", "--grid", "5"]
+    assert "numeric failure" in _rejected(tmp_path, capsys, argv, code=EXIT_NUMERIC)
 
 
 # ------------------------------------------------------- simulate-coverage
 
+# every config key off its default, and --seed 7 in place of the config's seed 3
+WIRED = {"thetas": "2, -1", "ns": "20, 16", "seed": "3", "methods": "normal, lil", "grid": "6",
+         "bandwidth": "0.3", "A": "0.2", "confidence": "0.9", "epsilon": "0.25"}
+WIRED_SPEC = {"A": 0.2, "confidence": 0.9, "epsilon": 0.25}
+
+
+def _wired_run(tmp_path, command, B):
+    """Header and cells of the CSV of ``command`` on WIRED with B replicates,
+    and the library's ExperimentConfig for the same entries."""
+    cfg = _config(tmp_path, **WIRED, B=str(B))
+    out = tmp_path / "run.csv"
+    assert main([*command, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == command[0] and manifest["seed"] == 7
+    assert manifest["parameters"] == {
+        "thetas": [2.0, -1.0], "ns": [20, 16], "B": B, "seed": 7, "methods": ["normal", "lil"],
+        "grid": 6, "bandwidth": 0.3, **WIRED_SPEC, "config": str(cfg), "bandwidths": [0.3, 0.3],
+        **({"mode": command[1]} if command[0] == "verify" else {})}
+    config = ExperimentConfig(
+        thetas=(2.0, -1.0), ns=(20, 16), B=B, seed=7, grid_resolution=6, bandwidth=0.3,
+        band_specs=(BandSpec(BandMethod.NORMAL, **WIRED_SPEC),
+                    BandSpec(BandMethod.LIL, **WIRED_SPEC)))
+    header, *lines = out.read_text().splitlines()
+    return header, [line.split(",") for line in lines], config
+
+
+def _typed(rows, *kinds):
+    return [tuple(kind(cell) for kind, cell in zip(kinds, row, strict=True)) for row in rows]
+
 
 def test_simulate_coverage_happy_path(tmp_path):
-    cfg = _config(tmp_path, methods="lil, normal", B="8")
-    out = tmp_path / "cov.csv"
-    assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "method,theta,n,coverage,mc_stderr,B,seed"
-    assert len(lines) == 3
-    assert lines[1].startswith("lil,1.0,16,")
-    assert lines[2].startswith("normal,1.0,16,")
-    manifest = json.loads((tmp_path / "cov.csv.manifest.json").read_text())
-    assert manifest["seed"] == 5
+    # the CSV is the library's report on the same experiment
+    header, rows, config = _wired_run(tmp_path, ["simulate-coverage"], B=100)
+    assert header == "method,theta,n,coverage,mc_stderr,B,seed"
+    report = run_coverage(config)
+    assert _typed(rows, str, float, int, float, float, int, int) == [
+        (r.method, r.theta, r.n, r.coverage, r.mc_stderr, r.B, r.seed) for r in report.rows]
 
 
 def test_simulate_coverage_row_order(tmp_path):
@@ -586,41 +576,28 @@ def test_simulate_coverage_seed_override(tmp_path):
 
 
 def test_simulate_coverage_rejects_unknown_keys(tmp_path, capsys):
-    cfg = _config(tmp_path, foo="1", bar="2")
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _config_rejected(tmp_path, capsys, _config(tmp_path, foo="1", bar="2"))
     assert "unknown config keys" in err and "bar, foo" in err
 
 
 def test_simulate_coverage_rejects_missing_keys(tmp_path, capsys):
-    cfg = _config(tmp_path, seed=None, methods=None)
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _config_rejected(tmp_path, capsys, _config(tmp_path, seed=None, methods=None))
     assert "missing required config keys" in err and "seed" in err and "methods" in err
 
 
 def test_simulate_coverage_rejects_zero_b(tmp_path, capsys):
-    cfg = _config(tmp_path, B="0")
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    assert "B must be >= 1" in capsys.readouterr().err
+    assert "B must be >= 1" in _config_rejected(tmp_path, capsys, _config(tmp_path, B="0"))
 
 
 def test_simulate_coverage_rejects_duplicate_key(tmp_path, capsys):
     cfg = _write(tmp_path / "dup.cfg",
                  "thetas = 1\nthetas = 2\nns = 16\nB = 2\nseed = 1\nmethods = lil\n")
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    assert "duplicate key" in capsys.readouterr().err
+    assert "duplicate key" in _config_rejected(tmp_path, capsys, cfg)
 
 
 def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
     cfg = _config(tmp_path, methods="lil, bogus")
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert "unknown method 'bogus'" in _config_rejected(tmp_path, capsys, cfg)
 
 
 @pytest.mark.parametrize(
@@ -634,16 +611,20 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
         # band options the listed methods do not use are still checked
         ({"methods": "lil", "confidence": "7"}, "confidence must lie in (0, 1)"),
         ({"methods": "normal", "epsilon": "5", "A": "-1"}, "A must be positive"),
+        ({"A": "1.5e308", "epsilon": "0.5"}, "(1 + epsilon) * A must be finite"),
+        # the parser's own checks name the file and the line
+        ({"": "5"}, "{cfg}:7: expected 'key = value'"),
+        ({"seed": ""}, "{cfg}:4: expected 'key = value'"),
+        ({"thetas": ","}, "{cfg}:1: key 'thetas' needs at least one value"),
+        ({"methods": "lil, lil"}, "{cfg}:5: duplicate method in 'methods'"),
     ],
     ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "B-2**32+1",
-         "lil-confidence", "normal-A-epsilon"],
+         "lil-confidence", "normal-A-epsilon", "A-epsilon-overflow", "empty-key", "empty-value",
+         "empty-list", "duplicate-method"],
 )
 def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
     cfg = _config(tmp_path, **overrides)
-    out = tmp_path / "c.csv"
-    assert main(["simulate-coverage", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert f"error: {message.format(cfg=cfg)}" in _config_rejected(tmp_path, capsys, cfg)
 
 
 def test_config_comments_and_auto_bandwidth(tmp_path):
@@ -657,7 +638,7 @@ def test_config_comments_and_auto_bandwidth(tmp_path):
 
 
 def test_config_byte_order_mark_is_ignored(tmp_path):
-    # the mark must not read as part of the first key ("unknown config keys: \ufeffthetas")
+    # the mark must not read as part of the first key ("unknown config keys: ﻿thetas")
     plain = _config(tmp_path)
     marked = tmp_path / "marked.cfg"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
@@ -670,9 +651,7 @@ def test_config_byte_order_mark_is_ignored(tmp_path):
 def test_non_utf8_config_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "latin.cfg"
     cfg.write_bytes(_config(tmp_path).read_bytes() + b"# caf\xe9\n")
-    code = main(["simulate-coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
+    err = _config_rejected(tmp_path, capsys, cfg)
     assert err.startswith(f"error: {cfg}: not UTF-8 text") and "\\xe9" in err
 
 
@@ -680,23 +659,23 @@ def test_non_utf8_config_names_the_file(tmp_path, capsys):
 
 
 def test_verify_lil_writes_verdict(tmp_path):
-    cfg = _config(tmp_path, B="100", ns="16")
-    out = tmp_path / "lil.csv"
-    assert main(["verify", "lil", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "mode,theta,n,B,stat_max,stat_mean,stat_p99,frac_within_bound"
-    assert lines[1].startswith("lil,1.0,16,100,")
-    assert lines[-1].startswith("# verdict: bound")
+    # the CSV and its verdict are the library's report on the same experiment
+    header, rows, config = _wired_run(tmp_path, ["verify", "lil"], B=100)
+    report = run_lil_check(config)
+    assert header == "mode,theta,n,B,stat_max,stat_mean,stat_p99,frac_within_bound"
+    assert rows[-1] == [f"# verdict: {cli._lil_verdict(report)}"]
+    assert _typed(rows[:-1], str, float, int, int, float, float, float, float) == [
+        ("lil", r.theta, r.n, r.B, r.stat_max, r.stat_mean, r.stat_p99,
+         r.fraction_within(cli.LIL_BOUND)) for r in report.rows]
 
 
 def test_verify_bias_writes_verdict(tmp_path):
-    cfg = _config(tmp_path, B="1000", ns="16, 32")
-    out = tmp_path / "bias.csv"
-    assert main(["verify", "bias", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "mode,theta,n,B,statistic"
-    assert len(lines) == 4
-    assert lines[-1].startswith("# verdict: decay")
+    header, rows, config = _wired_run(tmp_path, ["verify", "bias"], B=1000)
+    report = run_bias_check(config)
+    assert header == "mode,theta,n,B,statistic"
+    assert rows[-1] == [f"# verdict: {cli._bias_verdict(report)}"]
+    assert _typed(rows[:-1], str, float, int, int, float) == [
+        ("bias", r.theta, r.n, r.B, *r.statistics) for r in report.rows]
 
 
 def test_verify_bias_compares_in_increasing_n(tmp_path):
@@ -755,17 +734,12 @@ def test_bias_verdict_needs_a_strict_fall_in_n_for_every_theta(ns, stats, verdic
 )
 def test_verify_rejects_unusable_config(tmp_path, capsys, mode, overrides, message):
     cfg = _config(tmp_path, **overrides)
-    out = tmp_path / "v.csv"
-    assert main(["verify", mode, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert message in _config_rejected(tmp_path, capsys, cfg, ("verify", mode))
 
 
 def test_verify_rejects_insufficient_b(tmp_path, capsys):
     cfg = _config(tmp_path, B="9")
-    code = main(["verify", "lil", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
-    assert code == EXIT_USAGE
-    assert "B >= 100" in capsys.readouterr().err
+    assert "B >= 100" in _config_rejected(tmp_path, capsys, cfg, ("verify", "lil"))
 
 
 def test_verify_unknown_mode_exits_2(tmp_path, capsys):

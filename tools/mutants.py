@@ -7,8 +7,10 @@ directory and runs TESTS there, unmutated and then once per mutant in
 MUTANTS, each applied alone to the copy. For each mutant it prints the test
 functions that fail, with how many of their ids fail, or SURVIVED. A
 mutant whose line is not found exactly once in REPO prints "does not
-apply". The run takes a few minutes on 2 cores and is not part of the
-test suite.
+apply". It ends with the count of killed mutants and the wall time, and
+exits 1 if the unmutated copy fails or any mutant survives or does not
+apply. The run takes about twenty minutes on 2 cores and is not part of
+the test suite.
 """
 
 import os
@@ -17,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -79,6 +82,44 @@ MUTANTS = [
     # reports do not depend on the chunk size: only test_chunk_constant_is_frozen should kill it
     ("REPLICATE_CHUNK = 17", "montecarlo.py",
      "REPLICATE_CHUNK = 64", "REPLICATE_CHUNK = 17"),
+    # the CLI contract: reading, option wiring, config parsing, exit codes, outputs
+    ("row floor one row low in _parse_xy", "cli.py",
+     "if len(xs) < MIN_N:", "if len(xs) < MIN_N - 1:"),
+    ("finiteness check dropped in _load_xy", "cli.py",
+     "if table.shape[1] != 2 or len(table) < MIN_N or not np.isfinite(table).all():",
+     "if table.shape[1] != 2 or len(table) < MIN_N:"),
+    ("header cells not stripped in _is_xy_header", "cli.py",
+     '[cell.strip() for cell in row] == ["x", "y"]', 'row == ["x", "y"]'),
+    ("--bandwidth pre-check dropped in _estimate", "cli.py",
+     "_check_bandwidth(args.bandwidth)", "pass"),
+    ("normal-needs-theta check dropped in _cmd_bands", "cli.py",
+     "if method is BandMethod.NORMAL and args.theta is None:", "if False:"),
+    ("--epsilon ignored in _cmd_bands", "cli.py",
+     "BandSpec(method, A=args.A, epsilon=args.epsilon,", "BandSpec(method, A=args.A, epsilon=0.0,"),
+    ("empty-key and empty-value check made a missing '=' check in _parse_config", "cli.py",
+     "if not sep or not key or not value:", "if not sep:"),
+    ("empty-list check dropped in _parse_list", "cli.py",
+     "if not items:", "if False:"),
+    ("duplicate-method check dropped in _parse_config", "cli.py",
+     "if len(set(cfg[key])) != len(cfg[key]):", "if False:"),
+    ("--seed override ignored in _load_experiment", "cli.py",
+     'cfg["seed"] = args.seed', "pass"),
+    ("config epsilon ignored in _load_experiment", "cli.py",
+     'epsilon=cfg["epsilon"]', "epsilon=BandSpec.epsilon"),
+    ("config grid ignored in _load_experiment", "cli.py",
+     'grid_resolution=cfg["grid"],', "grid_resolution=33,"),
+    ("bias single-n check made < 1 in _cmd_verify", "cli.py",
+     "if len(config.ns) < 2:", "if len(config.ns) < 1:"),
+    ("verdict line dropped in _cmd_verify", "cli.py",
+     'return [*lines, f"# verdict: {verdict}"], parameters', "return lines, parameters"),
+    ("manifest seed set to None in _write_result", "cli.py",
+     '"seed": parameters.get("seed"),', '"seed": None,'),
+    ("CSV kept when the manifest write fails in _write_result", "cli.py",
+     "Path(args.out).unlink(missing_ok=True)", "pass"),
+    ("CSV unlinked after a failed CSV write too in _write_result", "cli.py",
+     "if path != args.out:", "if True:"),
+    ("numeric failure mapped to the usage exit in main", "cli.py",
+     "return EXIT_NUMERIC", "return EXIT_USAGE"),
 ]
 
 
@@ -100,6 +141,8 @@ def by_function(ids) -> str:
 
 
 def main(repo: Path) -> int:
+    started = time.monotonic()
+    killed = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(repo, root, ignore=shutil.ignore_patterns(
@@ -121,7 +164,9 @@ def main(repo: Path) -> int:
                 path.write_text(source)
             print(f"{name}: " + (f"killed by\n{by_function(killers)}" if killers else "SURVIVED"),
                   flush=True)
-    return 0
+            killed += bool(killers)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.monotonic() - started:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
