@@ -37,9 +37,8 @@ import numpy as np
 from . import __version__
 from .bands import MIN_N, BandMethod, BandSpec, NumericError, half_width
 from .copula import frank_sigma2
-from .estimator import PairedSample, _check_bandwidth, default_bandwidth
+from .estimator import _GRID_RESOLUTION, PairedSample, _check_bandwidth, default_bandwidth
 from .estimator import estimate_grid, interior_grid
-from .montecarlo import DeviationReport, ExperimentConfig, run_bias_check, run_coverage, run_lil_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,7 +59,7 @@ CONFIG_FIELDS = {
     "B": (int, False, _REQUIRED),
     "seed": (int, False, _REQUIRED),
     "methods": (str, True, _REQUIRED),
-    "grid": (int, False, ExperimentConfig.grid_resolution),
+    "grid": (int, False, _GRID_RESOLUTION),
     "bandwidth": (lambda raw: None if raw == "auto" else float(raw), False, None),
     "A": (float, False, BandSpec.A),
     "confidence": (float, False, BandSpec.confidence),
@@ -297,6 +296,7 @@ def _load_experiment(args):
     parsed config plus ``config`` (its path) and ``bandwidths``, the h
     each n of ``ns`` runs at, in the order of ``ns``.
     """
+    from .montecarlo import ExperimentConfig  # only experiments load the engine
     cfg = _parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -318,25 +318,23 @@ def _load_experiment(args):
 
 
 def _cmd_simulate_coverage(args):
+    from .montecarlo import run_coverage
     config, parameters = _load_experiment(args)
     report = run_coverage(config)
 
     lines = ["method,theta,n,coverage,mc_stderr,B,seed"]
-    for row in report.rows:
-        lines.append(
-            f"{row.method},{_fmt(row.theta)},{row.n},{_fmt(row.coverage)},"
-            f"{_fmt(row.mc_stderr)},{row.B},{row.seed}"
-        )
+    lines += [f"{row.method},{_fmt(row.theta)},{row.n},{_fmt(row.coverage)},"
+              f"{_fmt(row.mc_stderr)},{row.B},{row.seed}" for row in report.rows]
     return lines, parameters
 
 
-def _lil_verdict(report: DeviationReport) -> str:
+def _lil_verdict(report) -> str:
     """The LIL claim: at least 99% of each cell's statistics are at most ``LIL_BOUND``."""
     satisfied = all(row.fraction_within(LIL_BOUND) >= 0.99 for row in report.rows)
     return "bound satisfied" if satisfied else "bound exceeded"
 
 
-def _bias_verdict(report: DeviationReport) -> str:
+def _bias_verdict(report) -> str:
     """The bias-rate claim: each theta's statistic falls strictly as n grows, in any row order."""
     by_theta = {}
     for row in sorted(report.rows, key=lambda row: row.n):
@@ -346,6 +344,7 @@ def _bias_verdict(report: DeviationReport) -> str:
 
 
 def _cmd_verify(args):
+    from .montecarlo import run_bias_check, run_lil_check
     config, parameters = _load_experiment(args)
     parameters["mode"] = args.mode
 
@@ -377,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sample = argparse.ArgumentParser(add_help=False)
     sample.add_argument("input", help="CSV file with header x,y")
-    sample.add_argument("--grid", type=int, default=ExperimentConfig.grid_resolution,
+    sample.add_argument("--grid", type=int, default=_GRID_RESOLUTION,
                         help="interior grid resolution per axis")
     sample.add_argument("--bandwidth", type=float, default=None, help="override h (default 1/log n)")
     experiment = argparse.ArgumentParser(add_help=False)

@@ -67,6 +67,7 @@ __all__ = [
 # product's tiles (see the module docstring).
 _BLOCK = 512
 _TILE = 33
+_GRID_RESOLUTION = 33  # knots per axis of the default grid, in the library, the CLI and a config
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,7 @@ def default_bandwidth(n: int) -> float:
     return 1.0 / math.log(n)
 
 
-def interior_grid(resolution: int = 33) -> np.ndarray:
+def interior_grid(resolution: int = _GRID_RESOLUTION) -> np.ndarray:
     """Uniform interior evaluation grid {i/(resolution+1) : i = 1..resolution}.
 
     The default 33 knots per axis avoid the exact boundary, where

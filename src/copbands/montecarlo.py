@@ -55,7 +55,7 @@ import numpy as np
 
 from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
-from .estimator import _block_sum, _blocks, _rank_pair_rows, _table_sum
+from .estimator import _GRID_RESOLUTION, _block_sum, _blocks, _rank_pair_rows, _table_sum
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -95,7 +95,7 @@ class ExperimentConfig:
     ns: tuple
     B: int
     seed: int
-    grid_resolution: int = 33
+    grid_resolution: int = _GRID_RESOLUTION
     bandwidth: float | None = None
     band_specs: tuple = (BandSpec(BandMethod.LIL),)
 

@@ -269,10 +269,11 @@ def test_required_options(argv, capsys):
     assert "the following arguments are required" in capsys.readouterr().err
 
 
-def test_estimate_and_bands_runs_load_no_scipy_and_no_process_pool(frank_xy, tmp_path):
-    # importing scipy.special took 0.3 s of start-up, and the process pool's
-    # concurrent.futures and multiprocessing modules took about 20 ms more;
-    # neither the imports nor a run, with its lazy imports, may load them
+def test_estimate_and_bands_runs_load_no_scipy_no_process_pool_and_no_engine(frank_xy, tmp_path):
+    # importing scipy.special took 0.3 s of start-up, the process pool's
+    # concurrent.futures and multiprocessing modules about 20 ms more, and
+    # compiling copbands.montecarlo about 9 ms; neither the imports nor a
+    # run, with its lazy imports, may load them
     data = frank_xy(n=40)
     code = (
         "import sys, copbands, copbands.cli\n"
@@ -280,8 +281,8 @@ def test_estimate_and_bands_runs_load_no_scipy_and_no_process_pool(frank_xy, tmp
         "codes = [copbands.cli.main(['estimate', data, '--out', out]),\n"
         "         copbands.cli.main(['bands', data, '--method', 'normal', '--theta', '1',\n"
         "                            '--out', out])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0]\n"
-        "                    in ('scipy', 'concurrent', 'multiprocessing')))\n"
+        "print(codes, sorted(m for m in sys.modules if m == 'copbands.montecarlo'\n"
+        "                    or m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))\n"
     )
     src = str(Path(copbands.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "o.csv")],
@@ -575,29 +576,10 @@ def test_simulate_coverage_seed_override(tmp_path):
     assert "123" in out3.read_text().splitlines()[1]
 
 
-def test_simulate_coverage_rejects_unknown_keys(tmp_path, capsys):
-    err = _config_rejected(tmp_path, capsys, _config(tmp_path, foo="1", bar="2"))
-    assert "unknown config keys" in err and "bar, foo" in err
-
-
-def test_simulate_coverage_rejects_missing_keys(tmp_path, capsys):
-    err = _config_rejected(tmp_path, capsys, _config(tmp_path, seed=None, methods=None))
-    assert "missing required config keys" in err and "seed" in err and "methods" in err
-
-
-def test_simulate_coverage_rejects_zero_b(tmp_path, capsys):
-    assert "B must be >= 1" in _config_rejected(tmp_path, capsys, _config(tmp_path, B="0"))
-
-
 def test_simulate_coverage_rejects_duplicate_key(tmp_path, capsys):
     cfg = _write(tmp_path / "dup.cfg",
                  "thetas = 1\nthetas = 2\nns = 16\nB = 2\nseed = 1\nmethods = lil\n")
     assert "duplicate key" in _config_rejected(tmp_path, capsys, cfg)
-
-
-def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
-    cfg = _config(tmp_path, methods="lil, bogus")
-    assert "unknown method 'bogus'" in _config_rejected(tmp_path, capsys, cfg)
 
 
 @pytest.mark.parametrize(
@@ -607,6 +589,7 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
         ({"thetas": "1, 1.0"}, "thetas must not repeat"),
         ({"ns": "16, 16"}, "ns must not repeat"),
         ({"seed": "-1"}, "seed must lie in [0, 2**64)"),
+        ({"B": "0"}, "B must be >= 1 and <= 2**32"),
         ({"B": "4294967297"}, "B must be >= 1 and <= 2**32"),
         # band options the listed methods do not use are still checked
         ({"methods": "lil", "confidence": "7"}, "confidence must lie in (0, 1)"),
@@ -617,10 +600,13 @@ def test_simulate_coverage_rejects_bad_method(tmp_path, capsys):
         ({"seed": ""}, "{cfg}:4: expected 'key = value'"),
         ({"thetas": ","}, "{cfg}:1: key 'thetas' needs at least one value"),
         ({"methods": "lil, lil"}, "{cfg}:5: duplicate method in 'methods'"),
+        ({"methods": "lil, bogus"}, "{cfg}:5: unknown method 'bogus' (use lil or normal)"),
+        ({"foo": "1", "bar": "2"}, "{cfg}: unknown config keys: bar, foo"),
+        ({"seed": None, "methods": None}, "{cfg}: missing required config keys: seed, methods"),
     ],
-    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "B-2**32+1",
+    ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "zero-B", "B-2**32+1",
          "lil-confidence", "normal-A-epsilon", "A-epsilon-overflow", "empty-key", "empty-value",
-         "empty-list", "duplicate-method"],
+         "empty-list", "duplicate-method", "bad-method", "unknown-keys", "missing-keys"],
 )
 def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
     cfg = _config(tmp_path, **overrides)
@@ -728,18 +714,14 @@ def test_bias_verdict_needs_a_strict_fall_in_n_for_every_theta(ns, stats, verdic
     "mode, overrides, message",
     [
         ("lil", {"B": "100", "confidence": "7"}, "confidence must lie in (0, 1)"),
+        ("lil", {"B": "9"}, "lil check requires B >= 100"),
         ("bias", {"B": "1000", "ns": "16"}, "bias decay needs at least two sample sizes"),
     ],
-    ids=["lil-confidence", "bias-single-n"],
+    ids=["lil-confidence", "lil-insufficient-B", "bias-single-n"],
 )
 def test_verify_rejects_unusable_config(tmp_path, capsys, mode, overrides, message):
     cfg = _config(tmp_path, **overrides)
     assert message in _config_rejected(tmp_path, capsys, cfg, ("verify", mode))
-
-
-def test_verify_rejects_insufficient_b(tmp_path, capsys):
-    cfg = _config(tmp_path, B="9")
-    assert "B >= 100" in _config_rejected(tmp_path, capsys, cfg, ("verify", "lil"))
 
 
 def test_verify_unknown_mode_exits_2(tmp_path, capsys):
@@ -748,15 +730,6 @@ def test_verify_unknown_mode_exits_2(tmp_path, capsys):
         main(["verify", "bogus", "--config", str(cfg), "--out", str(tmp_path / "v.csv")])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
-
-
-def test_verify_manifest_contains_mode(tmp_path):
-    cfg = _config(tmp_path, B="100", ns="16")
-    out = tmp_path / "lil.csv"
-    assert main(["verify", "lil", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    manifest = json.loads((tmp_path / "lil.csv.manifest.json").read_text())
-    assert manifest["parameters"]["mode"] == "lil"
-    assert manifest["subcommand"] == "verify"
 
 
 EXPERIMENTS = [["simulate-coverage"], ["verify", "lil"], ["verify", "bias"]]

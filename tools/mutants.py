@@ -25,7 +25,7 @@ from pathlib import Path
 
 TESTS = ["tests/test_specfun.py", "tests/test_copula.py", "tests/test_bands.py",
          "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py",
-         "tests/test_cli.py"]
+         "tests/test_cli.py", "tests/test_package.py"]
 
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
@@ -120,6 +120,16 @@ MUTANTS = [
      "if path != args.out:", "if True:"),
     ("numeric failure mapped to the usage exit in main", "cli.py",
      "return EXIT_NUMERIC", "return EXIT_USAGE"),
+    # the engine loads on first use: not on import, and not for estimate or bands
+    ("engine imported eagerly by the package", "__init__.py",
+     "from . import bands, copula, estimator, specfun",
+     "from . import bands, copula, estimator, montecarlo, specfun"),
+    ("engine imported eagerly by the CLI", "cli.py",
+     "from . import __version__", "from . import __version__, montecarlo"),
+    ("every unknown name loads the engine in __getattr__", "__init__.py",
+     'if name != "montecarlo" and name not in _ENGINE:', "if False:"),
+    ("engine names missing from dir(copbands) before first use", "__init__.py",
+     'return sorted({*globals(), "montecarlo", *_ENGINE})', "return sorted(globals())"),
 ]
 
 
