@@ -110,13 +110,15 @@ def half_width(spec: BandSpec, n: int, sigma2=None):
 
 def covers(estimates, half_width, truth) -> np.ndarray:
     """Per (G, G) surface of ``estimates``: is ``truth`` within ± half_width
-    at every knot? Clamping the band to [0, 1] cannot change a verdict,
-    because the truth lies in [0, 1].
+    (a scalar or a (G, G) grid) at every knot? Clamping the band to [0, 1]
+    cannot change a verdict, because the truth lies in [0, 1].
     """
     estimates = np.asarray(estimates)
     truth = np.asarray(truth)
     if estimates.shape[-2:] != truth.shape:
         raise ValueError("truth grid does not match the estimate grid")
+    if np.shape(half_width) not in ((), truth.shape):
+        raise ValueError("half_width must be a scalar or shaped like the truth grid")
     bound = np.subtract(estimates, half_width)  # one buffer for both band edges
     inside = bound <= truth
     inside &= truth <= np.add(estimates, half_width, out=bound)

@@ -9,6 +9,10 @@ operation switches to the closed-form independence limit C(u,v) = u*v.
 All expressions are organized around expm1/log1p primitives and ratio
 orderings that avoid catastrophic cancellation for small ``theta`` and
 intermediate overflow for large ``|theta|``.
+
+The truth C and the variance sigma2 share one evaluation (``_cdf_sigma2``,
+which keeps the bits of ``frank_cdf`` and ``frank_sigma2``): sigma2 reuses
+that C, and C, C_u and C_v share one ``_denominator`` call.
 """
 
 from __future__ import annotations
@@ -94,12 +98,13 @@ def _denominator(th: float, ua: np.ndarray, va: np.ndarray):
     return z, one_z
 
 
-def _cdf(th: float, ua: np.ndarray, va: np.ndarray) -> np.ndarray:
+def _cdf(th: float, ua: np.ndarray, va: np.ndarray, den=None) -> np.ndarray:
+    """C on checked arrays; ``den``, as in ``_partials``, is their ``_denominator`` if given."""
     if abs(th) < INDEPENDENCE_THRESHOLD:
         out = ua * va
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z, one_z = _denominator(th, ua, va)
+            z, one_z = den or _denominator(th, ua, va)
             out = -np.log1p(z) / th
             far = z <= -0.5
             out[far] = -np.log(one_z[far]) / th
@@ -142,13 +147,13 @@ def frank_cdf(theta, u, v):
     return _gate(_cdf, theta, u, v)
 
 
-def _partials(th: float, ua: np.ndarray, va: np.ndarray):
+def _partials(th: float, ua: np.ndarray, va: np.ndarray, den=None):
     if abs(th) < INDEPENDENCE_THRESHOLD:
         return va.copy(), ua.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         big_g = float(np.expm1(-th))
         # D/expm1(-theta) = 1 + z
-        _, one_z = _denominator(th, ua, va)
+        _, one_z = den or _denominator(th, ua, va)
         cu = np.exp(-th * ua) * (np.expm1(-th * va) / big_g) / one_z
         cv = np.exp(-th * va) * (np.expm1(-th * ua) / big_g) / one_z
     if th > 0:
@@ -235,9 +240,12 @@ def frank_conditional_sample(theta, u, w):
     return _gate(_conditional_sample, theta, u, w, "w")
 
 
-def _sigma2(th: float, ua: np.ndarray, va: np.ndarray) -> np.ndarray:
-    c = _cdf(th, ua, va)
-    cu, cv = _partials(th, ua, va)
+def _sigma2(th: float, ua: np.ndarray, va: np.ndarray):
+    """(C, sigma2) on checked arrays, from one ``_denominator`` shared by C, C_u and C_v."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = _denominator(th, ua, va) if abs(th) >= INDEPENDENCE_THRESHOLD else None
+    c = _cdf(th, ua, va, den)
+    cu, cv = _partials(th, ua, va, den)
     s2 = (
         c * (1.0 - c)
         - 2.0 * (1.0 - ua) * c * cu
@@ -248,7 +256,12 @@ def _sigma2(th: float, ua: np.ndarray, va: np.ndarray) -> np.ndarray:
     )
     # nonnegative by construction; trim rounding residue near the boundary
     np.maximum(s2, 0.0, out=s2)
-    return s2
+    return c, s2
+
+
+def _cdf_sigma2(theta, u, v):
+    """(``frank_cdf``, ``frank_sigma2``) of one evaluation, with their bits."""
+    return _gate(_sigma2, theta, u, v)
 
 
 def frank_sigma2(theta, u, v):
@@ -263,4 +276,4 @@ def frank_sigma2(theta, u, v):
     Zero on the boundary of the unit square, where the indicators are
     degenerate. At independence this reduces to u(1-u)v(1-v).
     """
-    return _gate(_sigma2, theta, u, v)
+    return _cdf_sigma2(theta, u, v)[1]

@@ -32,16 +32,17 @@ rows, in order, so only the y rows are gathered; ``_table_sum`` is the one
 sum over table rows.
 
 Blocks and tiles. Every sum runs over blocks of 512 observations in order
-(``_block_sum``). A block's (G, G) product fx^T fy is built from tiles of
-at most 33 knots per side, one BLAS call each, so it is one call when
-G <= 33. A tile stays on one BLAS thread, while a single call on a larger
-grid is split across threads from 45 knots and sums in another order, so
-the tiles keep every estimate independent of the BLAS thread count at any
-G (checked from 2 to 99 knots). The first block's product is written
-where the sum goes and later blocks are added to it, which gives the bits
-of a sum from 0.0 because the products are >= 0. ``estimate_grid`` and
-``rank_estimate`` thus evaluate the same doubles and add them in the same
-order, and agree bit for bit.
+(``_block_sum``). A block's (G, G) product fx^T fy (``_product``) is built
+from tiles of at most 33 knots per side, one BLAS call each, so a one-tile
+product (G <= 33) is one call that writes straight into its destination.
+A tile stays on one BLAS thread, while a single call on a larger grid is
+split across threads from 45 knots and sums in another order, so the
+tiles keep every estimate independent of the BLAS thread count at any G
+(checked from 2 to 99 knots). The first block's product is written where
+the sum goes and later blocks' products, made in one scratch array, are
+added to it, which gives the bits of a sum from 0.0 because the products
+are >= 0. ``estimate_grid`` and ``rank_estimate`` thus evaluate the same
+doubles and add them in the same order, and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -252,25 +253,32 @@ def _blocks(n: int):
     return (slice(b, b + _BLOCK) for b in range(0, n, _BLOCK))
 
 
+def _product(fx: np.ndarray, fy: np.ndarray, out=None) -> np.ndarray:
+    """fx^T fy of two (rows, G) tables, written into ``out`` (a new (G, G) array if None)."""
+    g = fx.shape[1]
+    if g <= _TILE:
+        return np.matmul(fx.T, fy, out=out)
+    if out is None:
+        out = np.empty((g, g))
+    for i in range(0, g, _TILE):
+        for j in range(0, g, _TILE):
+            np.matmul(fx[:, i:i + _TILE].T, fy[:, j:j + _TILE], out=out[i:i + _TILE, j:j + _TILE])
+    return out
+
+
 def _block_sum(blocks, out=None) -> np.ndarray:
     """Sum of fx^T fy over the (fx, fy) pairs of (rows, G) tables, added in order.
 
     Returns ``out``, or a new (G, G) array if it is None, holding the sum,
     undivided; its bits are those of a sum from 0.0.
     """
-    product = out
     for k, (fx, fy) in enumerate(blocks):
-        g = fx.shape[1]
-        if product is None:
-            product = np.empty((g, g))
-        for i in range(0, g, _TILE):
-            for j in range(0, g, _TILE):
-                np.matmul(fx[:, i:i + _TILE].T, fy[:, j:j + _TILE],
-                          out=product[i:i + _TILE, j:j + _TILE])
         if k == 0:
-            out, product = product, None
-        else:
-            out += product
+            out = _product(fx, fy, out)
+            continue
+        if k == 1:  # one scratch product for every later block
+            scratch = np.empty_like(out)
+        out += _product(fx, fy, scratch)
     return out
 
 
@@ -283,6 +291,9 @@ def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys, out=None) -> np.ndar
     order when xs is None.
     """
     # ranks are in range, so "clip" only skips the bounds check
+    if len(ys) <= _BLOCK:  # one block: its product goes straight to out
+        return _product(even if xs is None else table.take(xs, axis=0, mode="clip"),
+                        table.take(ys, axis=0, mode="clip"), out)
     return _block_sum(((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
                         table.take(ys[s], axis=0, mode="clip")) for s in _blocks(len(ys))), out)
 

@@ -54,7 +54,7 @@ from itertools import islice
 import numpy as np
 
 from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
-from .copula import THETA_MAX, frank_cdf, frank_conditional_sample, frank_sigma2
+from .copula import THETA_MAX, _cdf_sigma2, frank_cdf, frank_conditional_sample
 from .estimator import _GRID_RESOLUTION, _block_sum, _blocks, _rank_pair_rows, _table_sum
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
@@ -100,6 +100,11 @@ class ExperimentConfig:
     band_specs: tuple = (BandSpec(BandMethod.LIL),)
 
     def __post_init__(self):
+        for name in ("thetas", "ns", "B", "seed", "grid_resolution", "bandwidth"):
+            value = getattr(self, name)
+            items = value if isinstance(value, (tuple, list)) else [value]
+            if any(isinstance(v, bool) for v in items):  # a bool would pass for 0 or 1
+                raise ValueError(f"{name} takes numbers, not bools: {value!r}")
         for name in ("ns", "B", "seed", "grid_resolution"):
             value = getattr(self, name)
             try:
@@ -373,11 +378,10 @@ def run_coverage(config: ExperimentConfig, workers=None) -> CoverageReport:
     """
     workers = _worker_count(workers)
     knots = interior_grid(config.grid_resolution)
-    need_sigma2 = any(spec.method is BandMethod.NORMAL for spec in config.band_specs)
     truths, half_widths = [], []  # per theta; half-widths per n, one per band
     for theta in config.thetas:
-        truths.append(frank_cdf(theta, knots[:, None], knots[None, :]))
-        sigma2 = frank_sigma2(theta, knots[:, None], knots[None, :]) if need_sigma2 else None
+        truth, sigma2 = _cdf_sigma2(theta, knots[:, None], knots[None, :])
+        truths.append(truth)
         half_widths.append([[half_width(spec, n, sigma2) for spec in config.band_specs]
                             for n in config.ns])
 

@@ -165,6 +165,10 @@ def test_covers_rejects_grid_mismatch():
         covers(_frank_surface(interior_grid(9)), hw, _frank_surface(interior_grid(7)))
     with pytest.raises(ValueError):
         covers(np.zeros((4, 9, 9)), hw, np.zeros((9, 7)))
+    # a half-width grid must be the truth's grid, not one numpy can broadcast or not
+    for bad in (np.full((7, 7), hw), np.full((9,), hw), np.full((1, 9, 9), hw)):
+        with pytest.raises(ValueError, match="^half_width must be a scalar or shaped like the truth"):
+            covers(np.zeros((4, 9, 9)), bad, np.zeros((9, 9)))
 
 
 def test_clamping_never_changes_the_verdict():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from copbands.copula import (
     INDEPENDENCE_THRESHOLD,
     THETA_MAX,
+    _cdf_sigma2,
     frank_cdf,
     frank_conditional_sample,
     frank_partials,
@@ -275,6 +276,17 @@ def test_sigma2_matches_influence_linearization_variance():
 def test_sigma2_scalar_type():
     out = frank_sigma2(2.0, 0.4, 0.6)
     assert isinstance(out, float) and out > 0.0
+
+
+@pytest.mark.parametrize("theta", [-700.0, -2.0, 0.0, 1e-9, 1.0, 10.0, 700.0])
+def test_shared_evaluation_keeps_the_bits_of_cdf_and_sigma2(theta):
+    # the engine takes a theta's truth and sigma2 from one evaluation
+    t = _unit_grid(41)  # knots 0 and 1 included
+    for u, v in ((t[:, None], t[None, :]), (t, t[::-1]), (0.3, 0.8), (1.0, 0.0)):
+        truth, sigma2 = _cdf_sigma2(theta, u, v)
+        assert np.array_equal(truth, frank_cdf(theta, u, v))
+        assert np.array_equal(sigma2, frank_sigma2(theta, u, v))
+        assert type(truth) is type(frank_cdf(theta, u, v))
 
 
 def _boolean_gather_sample(th, u, w):

@@ -77,6 +77,12 @@ def test_config_validation():
     for thetas in (("1",), (1.0, "2"), (None,), 5.0):
         with pytest.raises(ValueError, match="^thetas must be real numbers"):
             _small_config(thetas=thetas)
+    # a bool passes for the number 0 or 1: B=True would run one replicate
+    for field, value in (("B", True), ("seed", True), ("seed", False), ("grid_resolution", True),
+                         ("ns", (16, True)), ("ns", [True]), ("thetas", (True,)),
+                         ("thetas", [1.0, False]), ("bandwidth", True)):
+        with pytest.raises(ValueError, match=f"^{field} takes numbers, not bools: "):
+            _small_config(**{field: value})
     cfg = _small_config(ns=(np.int64(16),), B=np.int32(8), seed=np.uint64(3), grid_resolution=5)
     assert (cfg.ns, cfg.B, cfg.seed) == ((16,), 8, 3)
     assert all(type(v) is int for v in (*cfg.ns, cfg.B, cfg.seed, cfg.grid_resolution))

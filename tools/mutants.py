@@ -120,6 +120,20 @@ MUTANTS = [
      "if path != args.out:", "if True:"),
     ("numeric failure mapped to the usage exit in main", "cli.py",
      "return EXIT_NUMERIC", "return EXIT_USAGE"),
+    # a one-tile product is one BLAS call; later blocks add into one scratch product
+    ("one-call product widened to two tiles in _product", "estimator.py",
+     "if g <= _TILE:", "if g <= 2 * _TILE:"),
+    ("later blocks overwrite the sum instead of adding to it in _block_sum", "estimator.py",
+     "out += _product(fx, fy, scratch)", "out[...] = _product(fx, fy, scratch)"),
+    # a theta's truth and sigma2 share one evaluation, of that theta
+    ("sigma2 from another theta's denominator in _sigma2", "copula.py",
+     "den = _denominator(th, ua, va)", "den = _denominator(-th, ua, va)"),
+    ("sigma2 from another theta's truth in _sigma2", "copula.py",
+     "c = _cdf(th, ua, va, den)", "c = _cdf(-th, ua, va)"),
+    ("sigma2 of the first theta for every theta in run_coverage", "montecarlo.py",
+     "truth, sigma2 = _cdf_sigma2(theta, knots[:, None], knots[None, :])",
+     "truth, sigma2 = (_cdf_sigma2(theta, knots[:, None], knots[None, :])[0],"
+     " _cdf_sigma2(config.thetas[0], knots[:, None], knots[None, :])[1])"),
     # the engine loads on first use: not on import, and not for estimate or bands
     ("engine imported eagerly by the package", "__init__.py",
      "from . import bands, copula, estimator, specfun",
