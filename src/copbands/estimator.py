@@ -9,7 +9,8 @@ and averages products of kernel factors on the Probit scale:
 with q the normal quantile and K the Epanechnikov kernel CDF; README.md
 states what the public functions compute and guarantee. This docstring
 is the one account of how every estimate is summed, the Monte Carlo
-engine's included.
+engine's included: the engine hands this module rank rows and gets
+surfaces back.
 
 Rank points. ``_argsort_rows`` is the one ranker. A value of doubled
 rank m = 2, 3, ..., 2n (odd m: a tie's mid-rank) has the
@@ -28,8 +29,18 @@ path adds them in x-rank order, a tie group of x in y-rank order
 (``_rank_pair_rows``). The sum then depends only on the set of rank
 pairs, so a surface has the same bits for every row order of its sample.
 Without ties in x the x factors of the terms are the rank table's even
-rows, in order, so only the y rows are gathered; ``_table_sum`` is the one
-sum over table rows.
+rows in order, read in place as ``table[0::2]``, so only the y rows are
+gathered. ``_table_sum`` is the one sum over table rows, and
+``_table_stack`` stacks the surfaces of many samples; ``rank_estimate``
+is its one-sample case.
+
+The bias fold. The estimator is bilinear, Chat = (1/n) sum_i
+T[mx_i - 2]^T T[my_i - 2] for the rank table T, so the mean of B surfaces
+is T^T A / (nB), where row m - 2 of A sums the y factors of every
+observation with doubled x-rank m (``_bias_mean``). Replicates add to A in
+order, a replicate with tied x through ``np.add.at``. Without ties in x
+only A's even rows fill, and they are kept in one (n, G) array, so memory
+does not grow with B.
 
 Blocks and tiles. Every sum runs over blocks of 512 observations in order
 (``_block_sum``). A block's (G, G) product fx^T fy (``_product``) is built
@@ -282,20 +293,53 @@ def _block_sum(blocks, out=None) -> np.ndarray:
     return out
 
 
-def _table_sum(table: np.ndarray, even: np.ndarray, xs, ys, out=None) -> np.ndarray:
+def _table_sum(table: np.ndarray, xs, ys, out=None) -> np.ndarray:
     """n times the estimate surface of one ``_rank_pair_rows`` item (xs, ys), from a rank table.
 
     The sum of table[xs_i]^T table[ys_i] over the n observations, written
     into ``out`` as :func:`_block_sum` writes it; the caller divides by n.
-    ``even`` is ``table[0::2]`` as a contiguous array, the x factors in
-    order when xs is None.
     """
+    even = table[0::2]  # the x factors in order when xs is None
     # ranks are in range, so "clip" only skips the bounds check
     if len(ys) <= _BLOCK:  # one block: its product goes straight to out
         return _product(even if xs is None else table.take(xs, axis=0, mode="clip"),
                         table.take(ys, axis=0, mode="clip"), out)
     return _block_sum(((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
                         table.take(ys[s], axis=0, mode="clip")) for s in _blocks(len(ys))), out)
+
+
+def _table_stack(table: np.ndarray, items: list) -> np.ndarray:
+    """(len(items), G, G) stack of the estimate surfaces of ``_rank_pair_rows`` items."""
+    # items is a list, so the stack is allocated once the draws and ranks behind
+    # it are freed; allocated before them, it doubled a coverage pass's minor faults
+    stack = np.empty((len(items), table.shape[1], table.shape[1]))
+    for surface, (xs, ys) in zip(stack, items):
+        _table_sum(table, xs, ys, surface)
+    stack /= (table.shape[0] + 1) // 2
+    return stack
+
+
+def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
+    """Mean surface of B replicates from chunks of their ``_rank_pair_rows`` items: the bias fold."""
+    n = (table.shape[0] + 1) // 2
+    even = np.zeros((n, table.shape[1]))
+    rows = np.empty_like(even)
+    full = None  # every row of A, from the first replicate with tied x
+    for chunk in chunks:
+        for xs, ys in chunk:
+            if xs is None:
+                # ranks are in range, so "clip" only skips the bounds check
+                even += table.take(ys, axis=0, out=rows, mode="clip")
+                continue
+            if full is None:
+                full = np.zeros(table.shape)
+            np.add.at(full, xs, table[ys])
+    if full is None:
+        factors, acc = table[0::2], even
+    else:
+        full[0::2] += even
+        factors, acc = table, full
+    return _block_sum((factors[s], acc[s]) for s in _blocks(len(acc))) / (n * B)
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
@@ -325,8 +369,7 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     sample = PairedSample(xs, ys)
     if sample.n != n:
         raise ValueError(f"xs and ys must have the table's size {n}, not {sample.n}")
-    (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
-    return _table_sum(table, np.ascontiguousarray(table[0::2]), xs, ys) / n
+    return _table_stack(table, list(_rank_pair_rows(sample.xs[None], sample.ys[None])))[0]
 
 
 def default_bandwidth(n: int) -> float:

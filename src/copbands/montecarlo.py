@@ -26,12 +26,11 @@ sampler call and one rank pass (``copbands.estimator``'s
 Philox generator and re-keys it per replicate: its state is reset to the
 replicate's key, a zero counter and an empty buffer. A Philox stream is a
 pure function of key and counter, so this draws what a newly keyed
-generator draws. Coverage and the lil check then sum each replicate from
-the rank table with ``_table_sum``, as ``rank_estimate`` does; coverage
-workers return counts of ``covers`` over each half of a chunk's stack,
-and the lil check concatenates one cell's stacks at a time. The bias
-check forms no surface per replicate: its workers return rank-table rows
-(``_rank_rows``), which ``_bias_mean`` folds.
+generator draws. The estimator turns a chunk's rank rows into its stack
+of surfaces, and holds every sum (see ``copbands.estimator``): coverage
+workers count ``covers`` over each half of a chunk's stack, the lil check
+concatenates one cell's stacks at a time, and bias workers return the
+rank rows (``_rank_rows``), which the estimator's bias fold adds up.
 
 Reports do not depend on the worker count, the chunk size or the row
 block: a replicate's stream depends only on its key, every layer works
@@ -55,7 +54,7 @@ import numpy as np
 
 from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, _cdf_sigma2, frank_cdf, frank_conditional_sample
-from .estimator import _GRID_RESOLUTION, _block_sum, _blocks, _rank_pair_rows, _table_sum
+from .estimator import _GRID_RESOLUTION, _bias_mean, _rank_pair_rows, _table_stack
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -263,50 +262,8 @@ def _rank_rows(task: _Task) -> list:
 
 
 def _grid_chunk(task: _Task) -> np.ndarray:
-    """(r1 - r0, G, G) stack of the estimate surfaces of the task's replicates.
-
-    Each surface has the bits of ``rank_estimate`` on the replicate's sample.
-    """
-    even = np.ascontiguousarray(task.table[0::2])
-    rows = _rank_rows(task)
-    # allocated once the draws' and ranks' temporaries are freed; allocated
-    # before them, it doubled the minor page faults of a coverage pass
-    stack = np.empty((task.r1 - task.r0, task.table.shape[1], task.table.shape[1]))
-    for surface, (xs, ys) in zip(stack, rows):
-        _table_sum(task.table, even, xs, ys, surface)
-    stack /= task.n
-    return stack
-
-
-def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
-    """Mean estimate surface of B replicates from their ``_rank_rows``: the bias fold.
-
-    The estimator is bilinear, Chat = (1/n) sum_i T[mx_i - 2]^T T[my_i - 2]
-    for the rank table T, so the mean is T^T A / (nB), where row m - 2 of A
-    sums the y factors of every observation with doubled x-rank m. Replicates
-    add to A in order, a replicate with tied x through ``np.add.at``.
-    Without ties in x only A's even rows fill, and they are kept in one
-    contiguous (n, G) array, so memory does not grow with B.
-    """
-    n = (table.shape[0] + 1) // 2
-    even = np.zeros((n, table.shape[1]))
-    rows = np.empty_like(even)
-    full = None  # every row of A, from the first replicate with tied x
-    for chunk in chunks:
-        for xs, ys in chunk:
-            if xs is None:
-                # ranks are in range, so "clip" only skips the bounds check
-                even += table.take(ys, axis=0, out=rows, mode="clip")
-                continue
-            if full is None:
-                full = np.zeros(table.shape)
-            np.add.at(full, xs, table[ys])
-    if full is None:
-        factors, acc = table[0::2], even
-    else:
-        full[0::2] += even
-        factors, acc = table, full
-    return _block_sum((factors[s], acc[s]) for s in _blocks(len(acc))) / (n * B)
+    """(r1 - r0, G, G) stack of the estimate surfaces of the task's replicates."""
+    return _table_stack(task.table, _rank_rows(task))
 
 
 def _coverage_chunk(task: _Task) -> np.ndarray:
@@ -424,8 +381,8 @@ def run_bias_check(config: ExperimentConfig, workers=None) -> DeviationReport:
     """Normalized bias proxy R_n·sup|Ebar - C| per (theta, n) cell.
 
     B >= 1000 so the mean surface estimates the expectation with error
-    well below the bias it is measuring. Ebar comes from the bias fold
-    (``_bias_mean``).
+    well below the bias it is measuring. Ebar comes from the estimator's
+    bias fold.
     """
     if config.B < 1000:
         raise ValueError("bias check requires B >= 1000 (mean-surface proxy accuracy)")

@@ -32,6 +32,8 @@ def test_rn_rejects_small_n_naming_the_constraint():
         rn(15)
     with pytest.raises(ValueError, match="log log"):
         half_width(BandSpec(BandMethod.LIL), 15)
+    with pytest.raises(ValueError, match="n must be positive"):
+        half_width(BandSpec(BandMethod.NORMAL), 0, np.ones((3, 3)))
 
 
 def test_rn_closed_form_scaling():

@@ -591,6 +591,7 @@ def test_simulate_coverage_rejects_duplicate_key(tmp_path, capsys):
         ({"seed": "-1"}, "seed must lie in [0, 2**64)"),
         ({"B": "0"}, "B must be >= 1 and <= 2**32"),
         ({"B": "4294967297"}, "B must be >= 1 and <= 2**32"),
+        ({"B": "abc"}, "{cfg}:3: invalid value 'abc' for key 'B'"),
         # band options the listed methods do not use are still checked
         ({"methods": "lil", "confidence": "7"}, "confidence must lie in (0, 1)"),
         ({"methods": "normal", "epsilon": "5", "A": "-1"}, "A must be positive"),
@@ -605,8 +606,9 @@ def test_simulate_coverage_rejects_duplicate_key(tmp_path, capsys):
         ({"seed": None, "methods": None}, "{cfg}: missing required config keys: seed, methods"),
     ],
     ids=["theta-800", "duplicate-theta", "duplicate-n", "negative-seed", "zero-B", "B-2**32+1",
-         "lil-confidence", "normal-A-epsilon", "A-epsilon-overflow", "empty-key", "empty-value",
-         "empty-list", "duplicate-method", "bad-method", "unknown-keys", "missing-keys"],
+         "B-abc", "lil-confidence", "normal-A-epsilon", "A-epsilon-overflow", "empty-key",
+         "empty-value", "empty-list", "duplicate-method", "bad-method", "unknown-keys",
+         "missing-keys"],
 )
 def test_simulate_coverage_rejects_unusable_experiment(tmp_path, capsys, overrides, message):
     cfg = _config(tmp_path, **overrides)

@@ -337,10 +337,11 @@ def test_estimate_grid_rejects_bad_inputs():
     for h in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="bandwidth"):
             estimate_grid(sample, h, interior_grid(5))
-    with pytest.raises(ValueError):
-        estimate_grid(sample, 0.3, np.array([0.2, 0.2, 0.4]))
-    with pytest.raises(ValueError):
-        estimate_grid(sample, 0.3, np.array([-0.1, 0.5]))
+    for knots, message in (([0.2, 0.2, 0.4], "strictly increasing"),
+                           ([-0.1, 0.5], r"lie in \[0, 1\]"),
+                           ([], "nonempty one-dimensional array")):
+        with pytest.raises(ValueError, match=message):
+            estimate_grid(sample, 0.3, np.array(knots))
 
 
 # ------------------------------------------------------------- rank table
@@ -412,19 +413,13 @@ def test_estimates_keep_the_bits_of_a_tiled_sum_from_zero(n, g):
 
 @pytest.mark.parametrize("coarse", ["", "u", "v"], ids=["untied", "coarse_u", "coarse_v"])
 @pytest.mark.parametrize("n", [50, 513])
-def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(monkeypatch, n, coarse):
+def test_grid_chunk_stacks_keep_the_bits_of_a_tiled_sum_from_zero(n, coarse):
     # each replicate's sum is written into its slot and the stack divided by n
     # once; on a grid of 64 values every replicate ties u or v
-    from copbands import montecarlo
-
-    reference.coarsen(monkeypatch, coarse)
     table = rank_table(n, default_bandwidth(n), interior_grid(33))
-    seed, theta, r0, r1 = 2**33 + 5, 1.0, 64, 128
-    task = montecarlo._Task(montecarlo._stream_key(seed, 0, 1, 0), theta, n, r0, r1, table,
-                            None, None)
-    stack = montecarlo._grid_chunk(task)
-    us, vs = reference.sample(seed, 0, 1, range(r0, r1), theta, n, coarse)
-    assert stack.shape == (r1 - r0, 33, 33)
+    us, vs = reference.sample(2**33 + 5, 0, 1, range(64, 128), 1.0, n, coarse)
+    stack = estimator._table_stack(table, list(estimator._rank_pair_rows(us, vs)))
+    assert stack.shape == (64, 33, 33)
     assert np.array_equal(stack, [_tiled_estimate(table, u, v) for u, v in zip(us, vs)])
 
 

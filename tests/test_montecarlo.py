@@ -402,19 +402,19 @@ def test_lil_check_does_not_depend_on_blas_threads():
 
 
 def test_bias_check_does_not_depend_on_blas_threads():
-    # the fold's one product per cell sums 512-row blocks as the estimator does;
+    # the estimator's bias fold makes one product per cell, in 512-row blocks;
     # the statistic is one max, so the mean surface's bytes are compared too
     one, two = _stdout_under_blas_threads(
         "import hashlib\n"
         "from copbands import montecarlo as mc\n"
-        "from copbands.estimator import default_bandwidth, interior_grid, rank_table\n"
+        "from copbands.estimator import _bias_mean, default_bandwidth, interior_grid, rank_table\n"
         "cfg = mc.ExperimentConfig(thetas=(5.0,), ns=(2000,), B=1000, seed=0)\n"
         "print(repr(mc.run_bias_check(cfg, workers=1)))\n"
         "table = rank_table(2000, default_bandwidth(2000), interior_grid(33))\n"
         "chunks = (mc._rank_rows(mc._Task(mc._stream_key(0, 0, 0, 0), 5.0, 2000, r0,\n"
         "                                 min(r0 + 64, 1000), None, None, None))\n"
         "          for r0 in range(0, 1000, 64))\n"
-        "print(hashlib.sha256(mc._bias_mean(table, chunks, 1000).tobytes()).hexdigest())\n"
+        "print(hashlib.sha256(_bias_mean(table, chunks, 1000).tobytes()).hexdigest())\n"
     )
     assert one == two
     assert "DeviationRow" in one and len(one.splitlines()) == 2

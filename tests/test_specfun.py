@@ -156,9 +156,10 @@ def test_estimates_share_the_quantile_vector_bit_for_bit(n):
     assert np.array_equal(rank_estimate(rank_table(n, h, knots), xs, ys), direct)
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+# scalars take _scalar_quantile's check, arrays _quantile_into's
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.array([0.5, 1.1]), np.array([0.5, np.nan])])
 def test_normal_quantile_rejects_out_of_domain(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
         normal_quantile(bad)
 
 

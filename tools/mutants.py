@@ -25,7 +25,7 @@ from pathlib import Path
 
 TESTS = ["tests/test_specfun.py", "tests/test_copula.py", "tests/test_bands.py",
          "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py",
-         "tests/test_cli.py", "tests/test_package.py"]
+         "tests/test_cli.py", "tests/test_package.py", "tests/test_golden.py"]
 
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
@@ -35,10 +35,12 @@ MUTANTS = [
      "return np.repeat(starts + 1 + ends,", "return np.repeat(starts + 3 + ends,"),
     ("tie groups one rank low in _doubled_rank_rows only", "estimator.py",
      "m[k, order[k]] = _tie_ranks(x[k, order[k]])", "m[k, order[k]] = _tie_ranks(x[k, order[k]]) - 2"),
-    ("full[0::2] += even dropped in _bias_mean", "montecarlo.py",
+    ("full[0::2] += even dropped in _bias_mean", "estimator.py",
      "full[0::2] += even", "pass"),
-    ("stack /= n dropped in _grid_chunk", "montecarlo.py",
-     "stack /= task.n", "pass"),
+    ("bias fold divided by n (B - 1) in _bias_mean", "estimator.py",
+     "/ (n * B)", "/ (n * (B - 1))"),
+    ("stack /= n dropped in _table_stack", "estimator.py",
+     "stack /= (table.shape[0] + 1) // 2", "pass"),
     ("w drawn before u in _keyed_draws", "montecarlo.py",
      "return u, w", "return w, u"),
     ("replicate r keyed as r + 1 in _keyed_draws", "montecarlo.py",
