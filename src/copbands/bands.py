@@ -22,6 +22,7 @@ half-width at every knot.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -70,6 +71,10 @@ class BandSpec:
     def __post_init__(self):
         if not isinstance(self.method, BandMethod):
             raise ValueError("method must be a BandMethod")
+        for name in ("A", "epsilon", "confidence"):  # before any comparison
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         if not 0.0 < self.A < math.inf:
             raise ValueError("A must be positive and finite")
         if not -1.0 < self.epsilon < 1.0:

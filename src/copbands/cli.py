@@ -426,7 +426,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

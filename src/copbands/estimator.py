@@ -363,8 +363,12 @@ def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:
     Bit-identical to ``estimate_grid(PairedSample(xs, ys), h, knots)`` for
     the table's n, h and knots, and checked as ``PairedSample`` checks a
     sample: finite values in two one-dimensional arrays of equal length,
-    here the table's n.
+    here the table's n. The table must be two-dimensional, with an odd
+    number 2n - 1 of rows and at least one column.
     """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[0] % 2 == 0 or table.shape[1] < 1:
+        raise ValueError(f"table must have 2n - 1 rows and G >= 1 columns, not shape {table.shape}")
     n = (table.shape[0] + 1) // 2
     sample = PairedSample(xs, ys)
     if sample.n != n:

@@ -21,8 +21,6 @@ which differs from the C library's now and then.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -58,13 +56,13 @@ _FAR = (  # sqrt(-log r) > 5
      7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
      5.99832_20655_58879_37690e-1, 1.0),
 )
-# Elements per pass of the array path: a pass's temporaries stay in cache,
+# Elements per pass of _quantile_into: a pass's temporaries stay in cache,
 # which made 4e5 points about 2.5 times faster than one pass.
 _CHUNK = 16384
 
 
 def _ratio(t, coefs):
-    """Numerator and denominator of one AS 241 branch at t, a float or an array, by Horner's rule."""
+    """Numerator and denominator of one AS 241 branch at t, an array, by Horner's rule."""
     num, den = coefs
     a = num[0] * t  # new arrays, so every later step may work in place
     b = den[0] * t
@@ -78,30 +76,13 @@ def _ratio(t, coefs):
     return a, b
 
 
-def _scalar_quantile(p: float) -> float:
-    """:func:`normal_quantile` of one float, in Python arithmetic with the array path's bits."""
-    if not 0.0 <= p <= 1.0:  # NaN fails too
-        raise ValueError("normal_quantile requires probabilities in [0, 1]")
-    q = p - 0.5
-    if abs(q) <= _CENTRAL_BOUND:
-        num, den = _ratio(0.180625 - q * q, _CENTRAL)
-        return num * q / den
-    r = min(p, 1.0 - p)
-    if r == 0.0:
-        return math.copysign(math.inf, q)
-    # numpy's log, not math.log: the two differ in the last bit now and then
-    s = math.sqrt(-float(np.log(r)))
-    num, den = _ratio(s - 1.6, _NEAR) if s <= 5.0 else _ratio(s - 5.0, _FAR)
-    return math.copysign(num / den, q)
-
-
 def normal_quantile(p):
     """Standard normal quantile on [0, 1], by AS 241 (see the module docstring).
 
     Endpoints map to ``-inf`` and ``+inf``, without a warning, which the
     kernel CDF absorbs into its exact 0/1 plateaus; p = 1/2 maps to 0.0.
-    Each branch is evaluated on its own elements only. A scalar gives a
-    float with the bits of the same value inside an array.
+    Each branch is evaluated on its own elements only. A scalar takes the
+    path of a one-element array and comes back as a float.
 
     Parameters
     ----------
@@ -114,13 +95,11 @@ def normal_quantile(p):
         If any value lies outside [0, 1] or is NaN.
     """
     pa = np.asarray(p, dtype=float)
-    if pa.ndim == 0:
-        return _scalar_quantile(float(pa))
     flat = pa.reshape(-1)
     x = np.empty(flat.shape)
     for s in range(0, flat.size, _CHUNK):
         _quantile_into(flat[s:s + _CHUNK], x[s:s + _CHUNK])
-    return x.reshape(pa.shape)
+    return float(x[0]) if pa.ndim == 0 else x.reshape(pa.shape)
 
 
 def _quantile_into(p: np.ndarray, x: np.ndarray) -> None:

@@ -63,6 +63,13 @@ def test_band_spec_defaults_and_validation():
         BandSpec(BandMethod.NORMAL, confidence=1.0)
     with pytest.raises(ValueError):
         BandSpec("lil")
+    # bools and non-numbers are named before any comparison; reals are kept as given
+    for field, value in (("A", True), ("epsilon", False), ("confidence", True), ("A", "0.5"),
+                         ("confidence", None), ("A", 1 + 0j)):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, not "):
+            BandSpec(BandMethod.LIL, **{field: value})
+    spec = BandSpec(BandMethod.NORMAL, A=np.float64(0.25), epsilon=0, confidence=0.9)
+    assert type(spec.A) is np.float64 and type(spec.epsilon) is int
 
 
 # ------------------------------------------------------- half_width, LIL

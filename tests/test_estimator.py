@@ -1,11 +1,7 @@
 """Mid-ranks, kernel copula estimator, rank table, bandwidth schedule."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,31 +440,10 @@ def test_estimate_grid_memory_grows_with_n_only_through_vectors():
     assert (large - small) / 100_000 < 64
 
 
-def test_estimate_grid_does_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at import; the grids straddle the
-    # 33-knot tiles and the 45-knot thread split of the estimator module docstring.
-    code = (
-        "import hashlib\n"
-        "import numpy as np\n"
-        "from copbands.estimator import PairedSample, default_bandwidth, estimate_grid, interior_grid\n"
-        "grids = (33, 36, 44, 45, 50, 65, 99)\n"
-        "for n, gs in ((50, (2, 17, 33)), (500, (2, 17, 33)), (513, grids), (2000, grids)):\n"
-        "    rng = np.random.default_rng(n)\n"
-        "    sample = PairedSample(rng.random(n), rng.random(n))\n"
-        "    for g in gs:\n"
-        "        grid = estimate_grid(sample, default_bandwidth(n), interior_grid(g))\n"
-        "        print(n, g, hashlib.sha256(grid.tobytes()).hexdigest())\n"
-    )
-    src = str(Path(estimator.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 20
+def test_estimate_grid_does_not_depend_on_blas_threads(stdout_under_blas_threads):
+    one, two = stdout_under_blas_threads["estimate_grid"]
+    assert one == two
+    assert len(one.splitlines()) == 20
 
 
 def test_rank_table_shape_and_rejects_bad_inputs():
@@ -494,6 +469,25 @@ def test_rank_estimate_rejects_samples_of_another_size():
         for margins in ((bad, xs), (xs, bad)):
             with pytest.raises(ValueError, match="one-dimensional and of equal length"):
                 rank_estimate(table, *margins)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((40, 5)),                                      # an even row count
+    np.zeros(39),                                           # one-dimensional
+    rank_table(19, 0.3, interior_grid(5))[:-1].tolist(),    # a list, of 36 rows
+    np.zeros((39, 0)),                                      # no column
+], ids=["even-rows", "1-d", "list", "no-column"])
+def test_rank_estimate_rejects_what_no_rank_table_is(bad):
+    xs = np.arange(20.0)
+    with pytest.raises(ValueError, match=r"table must have 2n - 1 rows and G >= 1 columns"):
+        rank_estimate(bad, xs, xs)
+
+
+def test_rank_estimate_takes_a_table_as_a_float_array():
+    table = rank_table(20, 0.3, interior_grid(5))
+    xs = np.arange(20.0)
+    assert np.array_equal(rank_estimate(table.tolist(), xs, xs[::-1]),
+                          rank_estimate(table, xs, xs[::-1]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -2,13 +2,9 @@
 
 import concurrent.futures
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,68 +373,19 @@ def test_bias_check_deterministic_across_workers(monkeypatch, coarse):
     assert run_bias_check(cfg, workers=1) == run_bias_check(cfg, workers=2)
 
 
-def _stdout_under_blas_threads(code):
-    """stdout of a Python script importing copbands, under 1 and 2 OpenBLAS threads."""
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    return outputs
-
-
-def test_lil_check_does_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count once, at import; a single (33, 2000) @ (2000, 33)
-    # product runs on two threads and sums in another order than on one
-    one, two = _stdout_under_blas_threads(
-        "from copbands.montecarlo import ExperimentConfig, run_lil_check\n"
-        "cfg = ExperimentConfig(thetas=(5.0,), ns=(2000,), B=100, seed=0)\n"
-        "print(repr(run_lil_check(cfg, workers=1)))\n"
-    )
+def test_lil_check_does_not_depend_on_blas_threads(stdout_under_blas_threads):
+    one, two = stdout_under_blas_threads["lil_check"]
     assert one == two
 
 
-def test_bias_check_does_not_depend_on_blas_threads():
-    # the estimator's bias fold makes one product per cell, in 512-row blocks;
-    # the statistic is one max, so the mean surface's bytes are compared too
-    one, two = _stdout_under_blas_threads(
-        "import hashlib\n"
-        "from copbands import montecarlo as mc\n"
-        "from copbands.estimator import _bias_mean, default_bandwidth, interior_grid, rank_table\n"
-        "cfg = mc.ExperimentConfig(thetas=(5.0,), ns=(2000,), B=1000, seed=0)\n"
-        "print(repr(mc.run_bias_check(cfg, workers=1)))\n"
-        "table = rank_table(2000, default_bandwidth(2000), interior_grid(33))\n"
-        "chunks = (mc._rank_rows(mc._Task(mc._stream_key(0, 0, 0, 0), 5.0, 2000, r0,\n"
-        "                                 min(r0 + 64, 1000), None, None, None))\n"
-        "          for r0 in range(0, 1000, 64))\n"
-        "print(hashlib.sha256(_bias_mean(table, chunks, 1000).tobytes()).hexdigest())\n"
-    )
+def test_bias_check_does_not_depend_on_blas_threads(stdout_under_blas_threads):
+    one, two = stdout_under_blas_threads["bias_check"]
     assert one == two
     assert "DeviationRow" in one and len(one.splitlines()) == 2
 
 
-def test_coverage_does_not_depend_on_blas_threads():
-    # the benchmark's coverage configuration; counts hide the last bits, so the
-    # bytes of each cell's first chunk stack are compared too
-    one, two = _stdout_under_blas_threads(
-        "import hashlib\n"
-        "from copbands import montecarlo as mc\n"
-        "from copbands.bands import BandMethod, BandSpec\n"
-        "from copbands.estimator import default_bandwidth, interior_grid, rank_table\n"
-        "specs = (BandSpec(BandMethod.LIL), BandSpec(BandMethod.NORMAL))\n"
-        "cfg = mc.ExperimentConfig(thetas=(-2.0, 1.0, 10.0), ns=(50, 500), B=64, seed=0,\n"
-        "                          band_specs=specs)\n"
-        "print(repr(mc.run_coverage(cfg, workers=1)))\n"
-        "for i, theta in enumerate(cfg.thetas):\n"
-        "    for j, n in enumerate(cfg.ns):\n"
-        "        table = rank_table(n, default_bandwidth(n), interior_grid(33))\n"
-        "        task = mc._Task(mc._stream_key(0, i, j, 0), theta, n, 0, 64, table, None, None)\n"
-        "        stack = mc._grid_chunk(task)\n"
-        "        print(hashlib.sha256(stack.tobytes()).hexdigest())\n"
-    )
+def test_coverage_does_not_depend_on_blas_threads(stdout_under_blas_threads):
+    one, two = stdout_under_blas_threads["coverage"]
     assert one == two
     assert "CoverageRow" in one and len(one.splitlines()) == 7
 

@@ -156,7 +156,7 @@ def test_estimates_share_the_quantile_vector_bit_for_bit(n):
     assert np.array_equal(rank_estimate(rank_table(n, h, knots), xs, ys), direct)
 
 
-# scalars take _scalar_quantile's check, arrays _quantile_into's
+# a scalar reaches the check as a one-element array does
 @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.array([0.5, 1.1]), np.array([0.5, np.nan])])
 def test_normal_quantile_rejects_out_of_domain(bad):
     with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):

@@ -52,12 +52,19 @@ MUTANTS = [
     ("theta and n fields swapped in _stream_key", "montecarlo.py",
      "def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int)",
      "def _stream_key(seed: int, n_idx: int, theta_idx: int, r: int)"),
+    ("table check dropped in rank_estimate", "estimator.py",
+     "if table.ndim != 2 or table.shape[0] % 2 == 0 or table.shape[1] < 1:", "if False:"),
     ("tied pairs sorted by (y, x) in _rank_pair_rows", "estimator.py",
      "pairs.sort()", "pairs = pairs[np.lexsort((pairs // span, pairs % span))]"),
     ("central/tail switch of the normal quantile at 0.5", "specfun.py",
      "_CENTRAL_BOUND = 0.425", "_CENTRAL_BOUND = 0.5"),
+    ("0-d quantile returned as a one-element array in normal_quantile", "specfun.py",
+     "return float(x[0]) if pa.ndim == 0", "return x if pa.ndim == 0"),
     ("leading central numerator coefficient off in its 15th significant digit", "specfun.py",
      "2.50908_09287_30122_6727e+3", "2.50908_09287_30132_6727e+3"),
+    ("bool check dropped in BandSpec", "bands.py",
+     "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+     "if not isinstance(value, numbers.Real):"),
     ("LIL half-width times 0.9 in half_width", "bands.py",
      "return (1.0 + spec.epsilon) * spec.A / rn(n)", "return 0.9 * (1.0 + spec.epsilon) * spec.A / rn(n)"),
     ("<= made < in the lower-edge comparison of covers", "bands.py",
