@@ -21,6 +21,7 @@ half-width at every knot.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -109,8 +110,14 @@ def half_width(spec: BandSpec, n: int, sigma2=None):
     sigma2 = np.asarray(sigma2, dtype=float)
     if not np.all(sigma2 >= 0.0):
         raise NumericError("negative or NaN sigma2 value: variance surface is invalid")
-    z = normal_quantile(0.5 * (1.0 + spec.confidence))
-    return z * np.sqrt(sigma2 / n)
+    return _normal_z(spec.confidence) * np.sqrt(sigma2 / n)
+
+
+@functools.lru_cache
+def _normal_z(confidence: float) -> float:
+    """The normal band's z for ``confidence``, computed once per level: a coverage
+    run asks for it in every (theta, n) cell."""
+    return normal_quantile(0.5 * (1.0 + confidence))
 
 
 def covers(estimates, half_width, truth) -> np.ndarray:

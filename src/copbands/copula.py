@@ -6,6 +6,10 @@ sqrt(n)*(Chat - C). The parameter theta spans negative to positive
 dependence; below ``INDEPENDENCE_THRESHOLD`` in absolute value every
 operation switches to the closed-form independence limit C(u,v) = u*v.
 
+The Monte Carlo engine only ranks the sampler's draws, so it ranks a
+cheaper key that is strictly increasing in them, theta*u + logit(w)
+(``_conditional_key`` gives the proof).
+
 All expressions are organized around expm1/log1p primitives and ratio
 orderings that avoid catastrophic cancellation for small ``theta`` and
 intermediate overflow for large ``|theta|``.
@@ -37,6 +41,8 @@ INDEPENDENCE_THRESHOLD = 1e-8
 
 # exp(|theta|) must stay finite for the conditional sampler's closed form
 THETA_MAX = 700.0
+
+_LOWEST = float(np.finfo(float).min)
 
 
 def _check_unit(name: str, values) -> np.ndarray:
@@ -212,6 +218,34 @@ def _conditional_sample(th: float, ua: np.ndarray, wa: np.ndarray) -> np.ndarray
     out[wa == 1.0] = 1.0
     np.clip(out, 0.0, 1.0, out=out)
     return out
+
+
+def _conditional_key(th: float, ua: np.ndarray, wa: np.ndarray) -> np.ndarray:
+    """A key that ranks like ``_conditional_sample(th, ua, wa)``: kappa = theta*u + logit(w).
+
+    With a = e^{-theta*u} and t = a*(1 - w)/w, the sampler's closed form is
+    e^{-theta*v} = (e^{-theta} + t)/(1 + t), whose derivative in t is
+    (1 - e^{-theta})/(1 + t)^2. For theta > 0 it is positive, so theta*v
+    falls as t grows; for theta < 0 it is negative, so -theta*v falls. Either
+    way v strictly decreases in t, and -log t = kappa, so v strictly
+    increases in kappa and the two rank alike. Rounding can still give two
+    distinct v one double (two w an ulp or two below 1, say); the key keeps
+    them apart, as the exact v does, and random draws all but never meet
+    such a pair. Below ``INDEPENDENCE_THRESHOLD`` the sampler returns w, and
+    so does the key.
+
+    w = 0, where the sampler pins v = 0, gives kappa = -inf. The rank sort
+    takes finite values only, so it becomes the lowest finite double: every
+    w > 0 of a draw is at least 2^-53, so its key is above -37 - |theta|,
+    and equal w = 0 keys tie as their v = 0 do. Takes the sampler's checked
+    theta and u, and w in [0, 1) as the engine draws it.
+    """
+    if abs(th) < INDEPENDENCE_THRESHOLD:
+        return wa
+    with np.errstate(divide="ignore"):
+        key = np.log(wa / (1.0 - wa))
+    key += th * ua
+    return np.maximum(key, _LOWEST, out=key)
 
 
 def frank_conditional_sample(theta, u, w):

@@ -20,9 +20,12 @@ reads: the rank table of n (one per n, shared by every theta), and for
 coverage the truth and the band half-widths; bias tasks carry no array. Its
 replicates run in row blocks of about ``_ROW_BLOCK`` draws (8 replicates
 at n = 2000, a whole chunk at n = 50) so that each layer's arrays stay in
-cache. A row block makes one keyed draw (``_keyed_draws``), one Frank
-sampler call and one rank pass (``copbands.estimator``'s
-``_rank_pair_rows``) over (replicates, n) arrays. The keyed draw uses one
+cache. A row block makes one keyed draw (``_keyed_draws``), one key call
+and one rank pass (``copbands.estimator``'s ``_rank_pair_rows``) over
+(replicates, n) arrays. The estimator reads a sample only through its
+ranks, so the Frank sample v = C_u^-1(w | u) is never built: its y ranks
+are those of theta*u + logit(w), a strictly increasing function of v
+(``copbands.copula``'s ``_conditional_key``). The keyed draw uses one
 Philox generator and re-keys it per replicate: its state is reset to the
 replicate's key, a zero counter and an empty buffer. A Philox stream is a
 pure function of key and counter, so this draws what a newly keyed
@@ -53,7 +56,7 @@ from itertools import islice
 import numpy as np
 
 from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
-from .copula import THETA_MAX, _cdf_sigma2, frank_cdf, frank_conditional_sample
+from .copula import THETA_MAX, _cdf_sigma2, _conditional_key, frank_cdf
 from .estimator import _GRID_RESOLUTION, _bias_mean, _rank_pair_rows, _table_stack
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
@@ -257,7 +260,7 @@ def _rank_rows(task: _Task) -> list:
     items = []
     for b in range(task.r0, task.r1, rows):
         u, w = _keyed_draws(task.cell_key, b, min(b + rows, task.r1), task.n)
-        items.extend(_rank_pair_rows(u, frank_conditional_sample(task.theta, u, w)))
+        items.extend(_rank_pair_rows(u, _conditional_key(task.theta, u, w)))
     return items
 
 

@@ -52,7 +52,11 @@ def sample(seed, theta_idx, n_idx, rs, theta, n, coarse=""):
 
 
 def coarsen(monkeypatch, coarse):
-    """Puts the engine's u draws and Frank v on the grid of ``sample`` where ``coarse`` names them."""
+    """Puts the engine's u draws and Frank v on the grid of ``sample`` where ``coarse`` names them.
+
+    The engine ranks a key that increases with v in place of v; any increasing
+    map of v ranks as v does, so the gridded v itself serves as the key.
+    """
     if "u" in coarse:
         keyed_draws = montecarlo._keyed_draws
 
@@ -62,10 +66,10 @@ def coarsen(monkeypatch, coarse):
 
         monkeypatch.setattr(montecarlo, "_keyed_draws", coarse_draws)
     if "v" in coarse:
-        def coarse_sample(theta, u, w):
+        def coarse_key(theta, u, w):
             return _grid(frank_conditional_sample(theta, u, w))
 
-        monkeypatch.setattr(montecarlo, "frank_conditional_sample", coarse_sample)
+        monkeypatch.setattr(montecarlo, "_conditional_key", coarse_key)
 
 
 def textbook(xs, ys, h, knots):

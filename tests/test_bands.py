@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from copbands import bands
 from copbands.bands import BandMethod, BandSpec, NumericError, covers, half_width, rn
 from copbands.copula import frank_cdf, frank_sigma2
 from copbands.estimator import interior_grid
+from copbands.specfun import normal_quantile
 
 
 def _frank_surface(knots, theta=1.0):
@@ -131,6 +133,26 @@ def test_normal_bands_confidence_095_quantile():
     np.testing.assert_allclose(
         half_width(spec, 100, sigma2), 1.9599639845400538 * np.sqrt(sigma2 / 100.0), rtol=1e-12
     )
+
+
+def test_normal_bands_compute_z_once_per_confidence(monkeypatch):
+    # a coverage run asks for the half-widths of every (theta, n) cell
+    levels = []
+
+    def counted(p):
+        levels.append(p)
+        return normal_quantile(p)
+
+    monkeypatch.setattr(bands, "normal_quantile", counted)
+    bands._normal_z.cache_clear()
+    sigma2 = _sigma2(interior_grid(9))
+    for n in (50, 500, 50):
+        for confidence in (0.95, 0.99):
+            spec = BandSpec(BandMethod.NORMAL, confidence=confidence)
+            np.testing.assert_array_equal(half_width(spec, n, sigma2),
+                                          normal_quantile(0.5 * (1.0 + confidence))
+                                          * np.sqrt(sigma2 / n))
+    assert levels == [0.975, 0.995]
 
 
 def test_normal_bands_zero_variance_degenerates():

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference
 from copbands.bands import BandMethod, BandSpec
-from copbands import montecarlo
+from copbands import copula, estimator, montecarlo
 from copbands.copula import THETA_MAX
 from copbands.montecarlo import (
     REPLICATE_CHUNK,
@@ -161,6 +162,28 @@ def test_chunk_engine_matches_per_replicate_reference():
         assert np.array_equal(w[k], ref_w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([-THETA_MAX, -1e-8, 0.0, 1e-9, 1e-8, 2e-8, THETA_MAX]),
+              st.floats(-THETA_MAX, THETA_MAX)),
+    st.sampled_from([16, 50, 500, 2000]),
+    st.integers(0, 2**64 - 1),
+)
+def test_conditional_key_ranks_like_the_sampler(theta, n, seed):
+    # the engine ranks the key in place of the Frank sample v. Row 1 ties
+    # w = 0 (v = 0) at two positions, row 2 holds one w = 0, and row 3 holds
+    # the largest w a draw can give; no numpy warning may escape the key
+    u, w = montecarlo._keyed_draws(_stream_key(seed, 0, 0, 0), 0, 4, n)
+    w[1, [0, n - 1]] = 0.0
+    w[2, n // 2] = 0.0
+    w[3, n - 2] = 1.0 - 2.0**-53
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        key = copula._conditional_key(theta, u, w)
+    v = copula.frank_conditional_sample(theta, u, w)
+    assert np.array_equal(estimator._doubled_rank_rows(key), estimator._doubled_rank_rows(v))
+
+
 # ------------------------------------------------------------ run_coverage
 
 
@@ -181,9 +204,9 @@ def test_coverage_deterministic_and_worker_independent(monkeypatch, coarse):
 
 
 def test_coverage_tabulates_once_per_n(monkeypatch):
-    # one rank table per n (shared by every theta), one sampler call per
-    # replicate chunk, and no estimate_grid call in the replicate loop
-    calls = {"rank_table": 0, "frank_conditional_sample": 0, "estimate_grid": 0}
+    # one rank table per n (shared by every theta), one key call per row block
+    # (a whole chunk at these n), and no estimate_grid call in the replicate loop
+    calls = {"rank_table": 0, "_conditional_key": 0, "estimate_grid": 0}
 
     def counting(name):
         original = getattr(montecarlo, name)
@@ -201,7 +224,7 @@ def test_coverage_tabulates_once_per_n(monkeypatch):
     cells = len(cfg.thetas) * len(cfg.ns)
     chunks = math.ceil(cfg.B / REPLICATE_CHUNK)
     assert chunks == 3
-    assert calls == {"rank_table": len(cfg.ns), "frank_conditional_sample": chunks * cells,
+    assert calls == {"rank_table": len(cfg.ns), "_conditional_key": chunks * cells,
                      "estimate_grid": 0}
 
 

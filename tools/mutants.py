@@ -1,18 +1,20 @@
 """Mutation run: which unit and acceptance tests kill each one-line source mutant.
 
-Usage: python tools/mutants.py [REPO]
+Usage: python tools/mutants.py [REPO] [--only SUBSTRING]
 
 Copies REPO (by default the repository holding this script) to a temporary
 directory and runs TESTS there, unmutated and then once per mutant in
-MUTANTS, each applied alone to the copy. For each mutant it prints the test
+MUTANTS, each applied alone to the copy; --only keeps the mutants whose
+name contains SUBSTRING. For each mutant it prints the test
 functions that fail, with how many of their ids fail, or SURVIVED. A
 mutant whose line is not found exactly once in REPO prints "does not
 apply". It ends with the count of killed mutants and the wall time, and
-exits 1 if the unmutated copy fails or any mutant survives or does not
-apply. The run takes about twenty minutes on 2 cores and is not part of
-the test suite.
+exits 1 if the unmutated copy fails, no mutant is selected, or any mutant
+survives or does not apply. A full run takes about twenty minutes on 2
+cores and is not part of the test suite.
 """
 
+import argparse
 import os
 import re
 import shutil
@@ -153,6 +155,13 @@ MUTANTS = [
      'if name != "montecarlo" and name not in _ENGINE:', "if False:"),
     ("engine names missing from dir(copbands) before first use", "__init__.py",
      'return sorted({*globals(), "montecarlo", *_ENGINE})', "return sorted(globals())"),
+    # the engine ranks theta*u + logit(w) in place of the Frank sample
+    ("theta's sign flipped in _conditional_key", "copula.py",
+     "key += th * ua", "key -= th * ua"),
+    ("log(w) in place of logit(w) in _conditional_key", "copula.py",
+     "key = np.log(wa / (1.0 - wa))", "key = np.log(wa)"),
+    ("w = 0 key left at -inf in _conditional_key", "copula.py",
+     "return np.maximum(key, _LOWEST, out=key)", "return key"),
 ]
 
 
@@ -173,8 +182,12 @@ def by_function(ids) -> str:
     return "\n".join(f"    {name} ({k} id{'s' if k > 1 else ''})" for name, k in sorted(counts.items()))
 
 
-def main(repo: Path) -> int:
+def main(repo: Path, only: str = "") -> int:
     started = time.monotonic()
+    mutants = [m for m in MUTANTS if only in m[0]]
+    if not mutants:
+        print(f"no mutant name contains {only!r}")
+        return 1
     killed = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "repo"
@@ -184,7 +197,7 @@ def main(repo: Path) -> int:
         if broken:
             print("the unmutated copy fails:\n" + by_function(broken))
             return 1
-        for name, file, line, mutated in MUTANTS:
+        for name, file, line, mutated in mutants:
             path = root / "src" / "copbands" / file
             source = path.read_text()
             if source.count(line) != 1:
@@ -198,9 +211,14 @@ def main(repo: Path) -> int:
             print(f"{name}: " + (f"killed by\n{by_function(killers)}" if killers else "SURVIVED"),
                   flush=True)
             killed += bool(killers)
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.monotonic() - started:.0f} s")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"{killed} of {len(mutants)} mutants killed in {time.monotonic() - started:.0f} s")
+    return 0 if killed == len(mutants) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])))
+    parser = argparse.ArgumentParser(description="Run the one-line source mutants.")
+    parser.add_argument("repo", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--only", default="", metavar="SUBSTRING",
+                        help="run only the mutants whose name contains SUBSTRING")
+    args = parser.parse_args()
+    sys.exit(main(args.repo, args.only))
