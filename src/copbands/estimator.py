@@ -19,10 +19,14 @@ pseudo-observation m / (2(n + 1)), rank point m - 2.
 One quantile vector. An estimate takes the normal quantiles of the knots
 and of the 2n - 1 rank points from one call (``_quantiles``), and every
 factor is K((q(knot) - q(point)) / h) of that vector (``_factors``).
+``_factors`` evaluates K only on the knots between its plateaus: a knot
+whose t is <= -1 (>= 1) at every point of the block gets the 0.0 (1.0)
+that K gives there, so the bits are those of K evaluated everywhere.
 ``rank_table`` holds the factors of every rank point, one row each, so a
-gather of observations copies whole rows; ``estimate_grid`` gathers its
-blocks' rows from the vector itself, so its memory is O(n) for the vector
-plus O(|knots|·512) for the blocks.
+gather of observations copies whole rows; it fills one table over blocks
+of 512 ascending points, each with few knots off the plateaus.
+``estimate_grid`` gathers its blocks' rows from the vector itself, so its
+memory is O(n) for the vector plus O(|knots|·512) for the blocks.
 
 x-rank order. The terms of the sum may be added in any order, and every
 path adds them in x-rank order, a tie group of x in y-rank order
@@ -40,7 +44,8 @@ is T^T A / (nB), where row m - 2 of A sums the y factors of every
 observation with doubled x-rank m (``_bias_mean``). Replicates add to A in
 order, a replicate with tied x through ``np.add.at``. Without ties in x
 only A's even rows fill, and they are kept in one (n, G) array, so memory
-does not grow with B.
+does not grow with B. The fold lets go of each chunk of rank rows before
+the next is built, so it holds one.
 
 Blocks and tiles. Every sum runs over blocks of 512 observations in order
 (``_block_sum``). A block's (G, G) product fx^T fy (``_product``) is built
@@ -61,6 +66,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -248,15 +254,28 @@ def _quantiles(knots: np.ndarray, n: int):
     return q[:knots.size], q[knots.size:]
 
 
-def _factors(qk: np.ndarray, qp: np.ndarray, h: float) -> np.ndarray:
+def _factors(qk: np.ndarray, qp: np.ndarray, h: float, out=None) -> np.ndarray:
     """(points, knots) table of kernel factors K((qk_g - qp_i) / h) of quantiles.
 
-    +/-inf quantiles of boundary knots hit the kernel's exact 0/1
-    plateaus, never a nan.
+    Written into ``out``, or a new array if it is None. Only the columns
+    between the kernel's plateaus are evaluated: rounding is monotone, so a
+    column's t is largest at qp.min() and smallest at qp.max(), and the
+    leading columns whose largest t is <= -1 (trailing columns whose
+    smallest t is >= 1) hold exactly the 0.0 (1.0) that the kernel gives
+    there. The plateau columns are runs from either end, not a count,
+    because the quantiles of close knots can fall out of order by an ulp.
+    +/-inf quantiles of boundary knots land on a plateau, never a nan.
     """
-    t = qk[None, :] - qp[:, None]
+    if out is None:
+        out = np.empty((qp.size, qk.size))
+    lo = np.logical_and.accumulate((qk - qp.min()) / h <= -1.0).sum()
+    hi = qk.size - np.logical_and.accumulate((qk - qp.max())[::-1] / h >= 1.0).sum()
+    out[:, :lo] = 0.0
+    out[:, hi:] = 1.0
+    t = qk[None, lo:hi] - qp[:, None]
     t /= h
-    return epanechnikov_cdf(t)
+    out[:, lo:hi] = epanechnikov_cdf(t)
+    return out
 
 
 def _blocks(n: int):
@@ -325,15 +344,15 @@ def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
     even = np.zeros((n, table.shape[1]))
     rows = np.empty_like(even)
     full = None  # every row of A, from the first replicate with tied x
-    for chunk in chunks:
-        for xs, ys in chunk:
-            if xs is None:
-                # ranks are in range, so "clip" only skips the bounds check
-                even += table.take(ys, axis=0, out=rows, mode="clip")
-                continue
-            if full is None:
-                full = np.zeros(table.shape)
-            np.add.at(full, xs, table[ys])
+    # chain drops each chunk once its items are read, before the next is built
+    for xs, ys in chain.from_iterable(chunks):
+        if xs is None:
+            # ranks are in range, so "clip" only skips the bounds check
+            even += table.take(ys, axis=0, out=rows, mode="clip")
+            continue
+        if full is None:
+            full = np.zeros(table.shape)
+        np.add.at(full, xs, table[ys])
     if full is None:
         factors, acc = table[0::2], even
     else:
@@ -347,14 +366,19 @@ def rank_table(n: int, h: float, knots) -> np.ndarray:
 
     Row m - 2 of the (2n - 1, knots) table holds the factors of the
     pseudo-observation m / (2(n + 1)). Build it once per (n, h, knots)
-    and pass it to :func:`rank_estimate`.
+    and pass it to :func:`rank_estimate`. The table is filled block by
+    block, so the build holds the table and one block's temporaries.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     knots = _check_knots(knots)
     _check_bandwidth(h)
-    return _factors(*_quantiles(knots, n), h)
+    qk, qp = _quantiles(knots, n)
+    table = np.empty((qp.size, qk.size))
+    for s in _blocks(qp.size):  # ascending points: few columns per block off the plateaus
+        _factors(qk, qp[s], h, table[s])
+    return table
 
 
 def rank_estimate(table: np.ndarray, xs, ys) -> np.ndarray:

@@ -32,8 +32,10 @@ pure function of key and counter, so this draws what a newly keyed
 generator draws. The estimator turns a chunk's rank rows into its stack
 of surfaces, and holds every sum (see ``copbands.estimator``): coverage
 workers count ``covers`` over each half of a chunk's stack, the lil check
-concatenates one cell's stacks at a time, and bias workers return the
-rank rows (``_rank_rows``), which the estimator's bias fold adds up.
+copies each chunk's stack into one (B, G, G) array per cell and centres
+that array in place, and bias workers return the rank rows
+(``_rank_rows``), which the estimator's bias fold adds up one chunk at a
+time. Beside its rank tables and accumulators a run thus holds one chunk.
 
 Reports do not depend on the worker count, the chunk size or the row
 block: a replicate's stream depends only on its key, every layer works
@@ -372,9 +374,13 @@ def run_lil_check(config: ExperimentConfig, workers=None) -> DeviationReport:
         raise ValueError("lil check requires B >= 100 (mean-surface proxy accuracy)")
     rows = []
     for i, j, stacks in _cells(config, _worker_count(workers), _grid_chunk, _rank_tables(config)):
-        grids = np.concatenate(list(stacks), axis=0)
+        grids = np.empty((config.B, config.grid_resolution, config.grid_resolution))
+        for r0 in range(0, config.B, REPLICATE_CHUNK):
+            grids[r0:r0 + REPLICATE_CHUNK] = next(stacks)  # no name keeps a copied stack alive
+        grids -= grids.mean(axis=0)
+        np.abs(grids, out=grids)
         n = config.ns[j]
-        stats = rn(n) * np.max(np.abs(grids - grids.mean(axis=0)), axis=(1, 2))
+        stats = rn(n) * np.max(grids, axis=(1, 2))
         rows.append(DeviationRow(theta=config.thetas[i], n=n, B=config.B,
                                  statistics=tuple(float(s) for s in stats)))
     return DeviationReport(mode="lil", rows=tuple(rows))

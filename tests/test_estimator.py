@@ -458,6 +458,54 @@ def test_rank_table_shape_and_rejects_bad_inputs():
         rank_table(0, 0.3, interior_grid(5))
 
 
+def _kernel_table(n, h, knots):
+    """The factors of every rank point of n at the knots, the kernel evaluated whole."""
+    from copbands.specfun import epanechnikov_cdf, normal_quantile
+
+    points = np.arange(2, 2 * n + 1) / (2.0 * (n + 1))
+    t = normal_quantile(knots)[None, :] - normal_quantile(points)[:, None]
+    t /= h
+    return epanechnikov_cdf(t)
+
+
+@pytest.mark.parametrize("n", [1, 16, 257, 700])
+@pytest.mark.parametrize("h", [1e-3, 0.05, 0.3, 2.0, 1e6])
+@pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+def test_rank_table_is_the_kernel_at_every_rank_point(n, h, boundary):
+    # every entry, on the plateaus and between them, has the bits of the kernel
+    # evaluated whole; 257 and 700 rank points end a 512-row block mid-table
+    knots = interior_grid(9)
+    if boundary:
+        knots = np.concatenate(([0.0], knots, [1.0]))
+    assert np.array_equal(rank_table(n, h, knots), _kernel_table(n, h, knots))
+
+
+def test_rank_table_keeps_knots_whose_quantiles_fall_out_of_order():
+    # q(a) > q(b) by rounding for the adjacent doubles a < b; at this h, b is on
+    # the kernel's 0 plateau at every rank point and a is not at the first
+    from copbands.specfun import normal_quantile
+
+    knots = np.array([0.01960784213725517, 0.019607842137255173])
+    n, h = 50, 2.1003479844239337e-08
+    qk = normal_quantile(knots)
+    assert qk[0] > qk[1]
+    expected = _kernel_table(n, h, knots)
+    assert expected[0, 0] > 0.0
+    assert np.array_equal(rank_table(n, h, knots), expected)
+
+
+def test_rank_table_build_holds_one_table():
+    # the table is filled block by block, so the build holds the table and one
+    # block's temporaries
+    tracemalloc.start()
+    try:
+        table = rank_table(20_000, default_bandwidth(20_000), interior_grid(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
+
+
 def test_rank_estimate_rejects_samples_of_another_size():
     table = rank_table(20, 0.3, interior_grid(5))
     xs = np.arange(20.0)

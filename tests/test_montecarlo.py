@@ -458,18 +458,38 @@ def test_runs_match_the_oracle(run):
         assert abs(row.statistics[0] - cell.bias_statistic(config.B)) <= 1e-12
 
 
+def _traced_peak(run, config):
+    """Peak bytes that tracemalloc sees while ``run(config, workers=1)`` runs."""
+    tracemalloc.start()
+    try:
+        run(config, workers=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_bias_check_memory_does_not_grow_with_b():
     # the fold keeps one (n, G) table per cell, not a (B, G, G) stack
-    peaks = []
-    for B in (1000, 4000):
-        cfg = ExperimentConfig(thetas=(1.0,), ns=(200,), B=B, seed=5)
-        tracemalloc.start()
-        try:
-            run_bias_check(cfg, workers=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(run_bias_check, ExperimentConfig(thetas=(1.0,), ns=(200,), B=B, seed=5))
+             for B in (1000, 4000)]
     assert abs(peaks[1] - peaks[0]) <= 2**20
+
+
+def test_bias_check_holds_one_chunk_of_rank_rows():
+    # beyond the rank table and the fold's two (n, G) accumulators, a run holds
+    # one chunk of rank rows and a row block's draws, never two chunks
+    n, g = 5000, 33
+    held = (2 * n - 1) * g * 8 + 2 * n * g * 8
+    chunk = REPLICATE_CHUNK * n * 8
+    peak = _traced_peak(run_bias_check, ExperimentConfig(thetas=(1.0,), ns=(n,), B=1000, seed=5))
+    assert peak <= held + 1.5 * chunk
+
+
+def test_lil_check_holds_one_stack_per_cell():
+    # chunk stacks are copied into one (B, G, G) array per cell and centred in
+    # place, with no second full-size array
+    cfg = ExperimentConfig(thetas=(1.0,), ns=(16,), B=2000, seed=5)
+    assert _traced_peak(run_lil_check, cfg) <= 1.5 * cfg.B * 33 * 33 * 8
 
 
 def test_bias_tasks_carry_no_rank_table(recording_pool, monkeypatch):

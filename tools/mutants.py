@@ -155,6 +155,22 @@ MUTANTS = [
      'if name != "montecarlo" and name not in _ENGINE:', "if False:"),
     ("engine names missing from dir(copbands) before first use", "__init__.py",
      'return sorted({*globals(), "montecarlo", *_ENGINE})', "return sorted(globals())"),
+    # kernel factors are evaluated between the plateaus only; tables fill block by block
+    ("0 plateau bounded by the largest point in _factors", "estimator.py",
+     "lo = np.logical_and.accumulate((qk - qp.min()) / h <= -1.0)",
+     "lo = np.logical_and.accumulate((qk - qp.max()) / h <= -1.0)"),
+    ("1 plateau bounded by the smallest point in _factors", "estimator.py",
+     "hi = qk.size - np.logical_and.accumulate((qk - qp.max())[::-1]",
+     "hi = qk.size - np.logical_and.accumulate((qk - qp.min())[::-1]"),
+    ("0 plateau columns counted, not taken as a leading run, in _factors", "estimator.py",
+     "lo = np.logical_and.accumulate((qk - qp.min()) / h <= -1.0).sum()",
+     "lo = np.count_nonzero((qk - qp.min()) / h <= -1.0)"),
+    ("rank_table block written one row low", "estimator.py",
+     "_factors(qk, qp[s], h, table[s])", "_factors(qk, qp[s], h, table[s.start + 1:s.stop + 1])"),
+    ("last row of rank_table left unwritten", "estimator.py",
+     "for s in _blocks(qp.size):", "for s in _blocks(qp.size - 1):"),
+    ("lil centring dropped in run_lil_check", "montecarlo.py",
+     "grids -= grids.mean(axis=0)", "pass"),
     # the engine ranks theta*u + logit(w) in place of the Frank sample
     ("theta's sign flipped in _conditional_key", "copula.py",
      "key += th * ua", "key -= th * ua"),
