@@ -17,7 +17,7 @@ from .specfun import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# montecarlo.__all__, which __getattr__ imports on first use
+# montecarlo.__all__, imported from here so that the package can list it without the engine
 _ENGINE = ("WORKERS_ENV", "REPLICATE_CHUNK", "ExperimentConfig", "CoverageRow", "CoverageReport",
            "DeviationRow", "DeviationReport", "run_coverage", "run_lil_check", "run_bias_check")
 __all__ = ["__version__", *bands.__all__, *copula.__all__, *estimator.__all__, *_ENGINE,

@@ -85,21 +85,26 @@ def _is_xy_header(row) -> bool:
 
 
 def _read_xy(path: str) -> PairedSample:
-    """Sample of the x,y CSV at ``path`` (see :func:`_load_xy`)."""
-    return _load_xy(path) or _parse_xy(path)
+    """Sample of the x,y CSV at ``path``, and the one check of its row floor."""
+    columns = _load_xy(path)
+    xs, ys = _parse_xy(path) if columns is None else columns
+    if len(xs) < MIN_N:
+        raise ValueError(f"{path}: need at least {MIN_N} data rows, found {len(xs)} "
+                         f"(the normalization R_n = sqrt(n / (2 log log n)) requires n >= {MIN_N})")
+    return PairedSample(xs, ys)
 
 
-def _load_xy(path: str) -> PairedSample | None:
-    """The sample at ``path`` read by ``np.loadtxt``, or None.
+def _load_xy(path: str) -> np.ndarray | None:
+    """The x and y columns at ``path`` read by ``np.loadtxt``, or None.
 
     This is the fast path of :func:`_read_xy`: numpy's C tokenizer reads a
     file of plain numbers, and on None the per-line :func:`_parse_xy`
     reads the file again, judges it and reports its errors. None unless
-    the header is ``x,y`` and loadtxt reads at least MIN_N rows of two
-    finite values. loadtxt parses a number with the function float()
-    calls, and refuses what float() alone accepts (quotes, ``1_0``,
-    non-ASCII digits) and lines of one cell, so whatever it reads has the
-    values of :func:`_parse_xy` bit for bit.
+    the header is ``x,y`` and loadtxt reads rows of two finite values.
+    loadtxt parses a number with the function float() calls, and refuses
+    what float() alone accepts (quotes, ``1_0``, non-ASCII digits) and
+    lines of one cell, so whatever it reads has the values of
+    :func:`_parse_xy` bit for bit.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -109,15 +114,14 @@ def _load_xy(path: str) -> PairedSample | None:
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except Exception:  # whatever loadtxt refuses, the per-line parser judges and reports
         return None
-    if table.shape[1] != 2 or len(table) < MIN_N or not np.isfinite(table).all():
+    if table.shape[1] != 2 or not np.isfinite(table).all():
         return None
-    xs, ys = np.ascontiguousarray(table.T)
-    return PairedSample(xs, ys)
+    return np.ascontiguousarray(table.T)
 
 
-def _parse_xy(path: str) -> PairedSample:
-    """Per-line reader of the CSV at ``path``, and the source of every input
-    error, each naming the file and, where there is one, the line."""
+def _parse_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line reader of the columns at ``path``, the source of every input error
+    but the row floor, each naming the file and, where there is one, the line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
             reader = csv.reader(fh)
@@ -147,10 +151,7 @@ def _parse_xy(path: str) -> PairedSample:
                 ys.append(pair[1])
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_error(path, exc) from exc
-    if len(xs) < MIN_N:
-        raise ValueError(f"{path}: need at least {MIN_N} data rows, found {len(xs)} "
-                         f"(the normalization R_n = sqrt(n / (2 log log n)) requires n >= {MIN_N})")
-    return PairedSample(np.array(xs), np.array(ys))
+    return np.array(xs), np.array(ys)
 
 
 def _parse_scalar(path, lineno, key, raw, kind):

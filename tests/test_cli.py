@@ -341,6 +341,7 @@ READER_CASES = {
     "blank-lines": (_csv(["", *_ROWS[:9], "", "", *_ROWS[9:], ""]), True),
     "padded-cells": (_with(" 1.5 , 2 "), True),
     "16-rows": (_csv(_ROWS[:16]), True),
+    "15-rows": (_csv(_ROWS[:15]), True),
     "padded-header": (_csv(_ROWS, head=" x , y "), True),
     "quoted-header": (_csv(_ROWS, head='"x","y"'), True),
     "50k-rows": (_csv(_big_rows()), True),
@@ -358,7 +359,6 @@ READER_CASES = {
     "empty-cell": (_with("1,"), False),
     "nul-byte": (_with("1\x00,2"), False),
     "quoted-newline": (b'x,y\n"1\n",2\n3,oops\n', False),
-    "15-rows": (_csv(_ROWS[:15]), False),
     "header-only": (_csv([]), False),
     "bad-header": (_csv(_ROWS, head="x,z"), False),
     "empty-file": (b"", False),
@@ -375,16 +375,17 @@ def _outcome(read, path):
 
 
 @pytest.mark.parametrize("name", list(READER_CASES))
-def test_reader_matches_the_per_line_parser(tmp_path, name):
+def test_reader_matches_the_per_line_parser(tmp_path, monkeypatch, name):
     content, fast = READER_CASES[name]
     path = tmp_path / "data.csv"
     path.write_bytes(content)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         read = _outcome(cli._read_xy, path)
-    assert read == _outcome(cli._parse_xy, path)
     assert not caught  # e.g. loadtxt's "input contained no data"
     assert (cli._load_xy(str(path)) is not None) is fast
+    monkeypatch.setattr(cli, "_load_xy", lambda path: None)  # the per-line path alone
+    assert read == _outcome(cli._read_xy, path)
 
 
 def test_reader_errors_name_the_physical_line(tmp_path):
@@ -409,21 +410,30 @@ def test_fast_path_parses_finite_doubles_bit_for_bit(tmp_path_factory, values, f
     xs, ys = (texts * 16)[:16], (texts[::-1] * 16)[:16]  # 16 rows, each value in both columns
     path = tmp_path_factory.getbasetemp() / "finite-doubles.csv"
     path.write_bytes(_csv([f"{a},{b}" for a, b in zip(xs, ys)]))
-    sample = cli._load_xy(str(path))
-    assert sample is not None
-    assert sample.xs.tobytes() == np.array([float(a) for a in xs]).tobytes()
-    assert sample.ys.tobytes() == np.array([float(b) for b in ys]).tobytes()
+    columns = cli._load_xy(str(path))
+    assert columns is not None
+    assert columns[0].tobytes() == np.array([float(a) for a in xs]).tobytes()
+    assert columns[1].tobytes() == np.array([float(b) for b in ys]).tobytes()
+
+
+def _refuse(path):
+    raise AssertionError("the per-line parser ran on a clean file")
 
 
 def test_clean_file_takes_the_fast_path(frank_xy, tmp_path, monkeypatch):
-    def refuse(path):
-        raise AssertionError("the per-line parser ran on a clean file")
-
     data = frank_xy(n=40)
     out = tmp_path / "e.csv"
-    monkeypatch.setattr(cli, "_parse_xy", refuse)
+    monkeypatch.setattr(cli, "_parse_xy", _refuse)
     assert main(["estimate", str(data), "--grid", "5", "--out", str(out)]) == EXIT_OK
     assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["parameters"]["n"] == 40
+
+
+def test_short_clean_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(READER_CASES["15-rows"][0])
+    monkeypatch.setattr(cli, "_parse_xy", _refuse)
+    with pytest.raises(ValueError, match=r"need at least 16 data rows, found 15 \(the normalization"):
+        cli._read_xy(str(path))
 
 
 # ------------------------------------------------------------------- bands
