@@ -9,6 +9,11 @@ neither the process pool nor ``copbands.montecarlo``, and the package loads
 the engine on first use.
 """
 
+# montecarlo.__all__, imported from here so that the package can list it without the engine;
+# bound before the submodules load, so that montecarlo finds it if it loads among them
+_ENGINE = ("WORKERS_ENV", "REPLICATE_CHUNK", "ExperimentConfig", "CoverageRow", "CoverageReport",
+           "DeviationRow", "DeviationReport", "run_coverage", "run_lil_check", "run_bias_check")
+
 from . import bands, copula, estimator, specfun
 from .bands import *  # noqa: F403
 from .copula import *  # noqa: F403
@@ -17,9 +22,6 @@ from .specfun import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# montecarlo.__all__, imported from here so that the package can list it without the engine
-_ENGINE = ("WORKERS_ENV", "REPLICATE_CHUNK", "ExperimentConfig", "CoverageRow", "CoverageReport",
-           "DeviationRow", "DeviationReport", "run_coverage", "run_lil_check", "run_bias_check")
 __all__ = ["__version__", *bands.__all__, *copula.__all__, *estimator.__all__, *_ENGINE,
            *specfun.__all__]
 

@@ -34,9 +34,8 @@ path adds them in x-rank order, a tie group of x in y-rank order
 pairs, so a surface has the same bits for every row order of its sample.
 Without ties in x the x factors of the terms are the rank table's even
 rows in order, read in place as ``table[0::2]``, so only the y rows are
-gathered. ``_table_sum`` is the one sum over table rows, and
-``_table_stack`` stacks the surfaces of many samples; ``rank_estimate``
-is its one-sample case.
+gathered. ``_table_stack`` sums the surfaces of many samples from table
+rows into one stack; ``rank_estimate`` is its one-sample case.
 
 The bias fold. The estimator is bilinear, Chat = (1/n) sum_i
 T[mx_i - 2]^T T[my_i - 2] for the rank table T, so the mean of B surfaces
@@ -47,18 +46,22 @@ only A's even rows fill, and they are kept in one (n, G) array, so memory
 does not grow with B. The fold lets go of each chunk of rank rows before
 the next is built, so it holds one.
 
-Blocks and tiles. Every sum runs over blocks of 512 observations in order
-(``_block_sum``). A block's (G, G) product fx^T fy (``_product``) is built
-from tiles of at most 33 knots per side, one BLAS call each, so a one-tile
-product (G <= 33) is one call that writes straight into its destination.
-A tile stays on one BLAS thread, while a single call on a larger grid is
-split across threads from 45 knots and sums in another order, so the
-tiles keep every estimate independent of the BLAS thread count at any G
-(checked from 2 to 99 knots). The first block's product is written where
-the sum goes and later blocks' products, made in one scratch array, are
-added to it, which gives the bits of a sum from 0.0 because the products
-are >= 0. ``estimate_grid`` and ``rank_estimate`` thus evaluate the same
-doubles and add them in the same order, and agree bit for bit.
+Blocks and tiles. ``_block_sum`` is the one sum: it walks blocks of 512
+observations in order and takes each block's factor rows from its
+caller, which evaluates them (``estimate_grid``), gathers them from the
+rank table (``_table_stack``) or slices the table and A (the bias fold).
+A block's (G, G) product fx^T fy (``_product``) is built from tiles of
+at most 33 knots per side, one BLAS call each, so a one-tile product (G
+<= 33) is one call that writes straight into its destination. A tile
+stays on one BLAS thread, while a single call on a larger grid is split
+across threads from 45 knots and sums in another order, so the tiles
+keep every estimate independent of the BLAS thread count at any G
+(checked from 2 to 99 knots). Block 0's product is written where the sum
+goes, so a one-block sum is one product, and later blocks' products,
+made in one scratch array, are added to it, which gives the bits of a
+sum from 0.0 because the products are >= 0. ``estimate_grid`` and
+``rank_estimate`` thus evaluate the same doubles and add them in the
+same order, and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -233,10 +236,10 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
         xs = np.arange(0, 2 * n, 2)
     qk, qp = _quantiles(knots, n)
 
-    def factors(rows):  # what rows of the rank table of n, h and knots hold
-        return _factors(qk, qp.take(rows), h)
+    def rows(s):  # block s's rows of the rank table of n, h and knots
+        return _factors(qk, qp.take(xs[s]), h), _factors(qk, qp.take(ys[s]), h)
 
-    return _block_sum((factors(xs[s]), factors(ys[s])) for s in _blocks(n)) / n
+    return _block_sum(n, rows) / n
 
 
 def _check_bandwidth(h) -> None:
@@ -296,44 +299,36 @@ def _product(fx: np.ndarray, fy: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _block_sum(blocks, out=None) -> np.ndarray:
-    """Sum of fx^T fy over the (fx, fy) pairs of (rows, G) tables, added in order.
+def _block_sum(n: int, rows, out=None) -> np.ndarray:
+    """Sum of fx^T fy over the blocks of n observations, added in order: the one sum.
 
-    Returns ``out``, or a new (G, G) array if it is None, holding the sum,
-    undivided; its bits are those of a sum from 0.0.
+    ``rows(s)`` gives the (fx, fy) tables, (rows, G) each, of the block at
+    slice s. Returns ``out``, or a new (G, G) array if it is None, holding
+    the sum, undivided; its bits are those of a sum from 0.0.
     """
-    for k, (fx, fy) in enumerate(blocks):
-        if k == 0:
-            out = _product(fx, fy, out)
-            continue
-        if k == 1:  # one scratch product for every later block
-            scratch = np.empty_like(out)
-        out += _product(fx, fy, scratch)
+    out = _product(*rows(slice(0, _BLOCK)), out)  # block 0's product goes straight to out
+    if n > _BLOCK:  # later blocks add from one scratch product
+        scratch = np.empty_like(out)
+        for s in islice(_blocks(n), 1, None):
+            out += _product(*rows(s), scratch)
     return out
 
 
-def _table_sum(table: np.ndarray, xs, ys, out=None) -> np.ndarray:
-    """n times the estimate surface of one ``_rank_pair_rows`` item (xs, ys), from a rank table.
-
-    The sum of table[xs_i]^T table[ys_i] over the n observations, written
-    into ``out`` as :func:`_block_sum` writes it; the caller divides by n.
-    """
-    even = table[0::2]  # the x factors in order when xs is None
-    # ranks are in range, so "clip" only skips the bounds check
-    if len(ys) <= _BLOCK:  # one block: its product goes straight to out
-        return _product(even if xs is None else table.take(xs, axis=0, mode="clip"),
-                        table.take(ys, axis=0, mode="clip"), out)
-    return _block_sum(((even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
-                        table.take(ys[s], axis=0, mode="clip")) for s in _blocks(len(ys))), out)
-
-
 def _table_stack(table: np.ndarray, items: list) -> np.ndarray:
-    """(len(items), G, G) stack of the estimate surfaces of ``_rank_pair_rows`` items."""
+    """(len(items), G, G) stack of the estimate surfaces of ``_rank_pair_rows`` items.
+
+    Slot i holds the :func:`_block_sum` of table[xs_i]^T table[ys_i], and the stack is divided by n.
+    """
     # items is a list, so the stack is allocated once the draws and ranks behind
     # it are freed; allocated before them, it doubled a coverage pass's minor faults
     stack = np.empty((len(items), table.shape[1], table.shape[1]))
+    even = table[0::2]  # the x factors in order when xs is None
     for surface, (xs, ys) in zip(stack, items):
-        _table_sum(table, xs, ys, surface)
+        def rows(s):  # ranks are in range, so "clip" only skips the bounds check
+            return (even[s] if xs is None else table.take(xs[s], axis=0, mode="clip"),
+                    table.take(ys[s], axis=0, mode="clip"))
+
+        _block_sum(len(ys), rows, surface)
     stack /= (table.shape[0] + 1) // 2
     return stack
 
@@ -358,7 +353,7 @@ def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
     else:
         full[0::2] += even
         factors, acc = table, full
-    return _block_sum((factors[s], acc[s]) for s in _blocks(len(acc))) / (n * B)
+    return _block_sum(len(acc), lambda s: (factors[s], acc[s])) / (n * B)
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:

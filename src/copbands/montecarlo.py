@@ -25,11 +25,11 @@ and one rank pass (``copbands.estimator``'s ``_rank_pair_rows``) over
 (replicates, n) arrays. The estimator reads a sample only through its
 ranks, so the Frank sample v = C_u^-1(w | u) is never built: its y ranks
 are those of theta*u + logit(w), a strictly increasing function of v
-(``copbands.copula``'s ``_conditional_key``). The keyed draw uses one
-Philox generator and re-keys it per replicate: its state is reset to the
-replicate's key, a zero counter and an empty buffer. A Philox stream is a
-pure function of key and counter, so this draws what a newly keyed
-generator draws. The estimator turns a chunk's rank rows into its stack
+(``copbands.copula``'s ``_conditional_key``). A task builds one Philox
+generator, and the keyed draw re-keys it per replicate: its state is reset
+to the replicate's key, a zero counter and an empty buffer. A Philox
+stream is a pure function of key and counter, so this draws what a newly
+keyed generator draws. The estimator turns a chunk's rank rows into its stack
 of surfaces, and holds every sum (see ``copbands.estimator``): coverage
 workers count ``covers`` over each half of a chunk's stack, the lil check
 copies each chunk's stack into one (B, G, G) array per cell and centres
@@ -111,7 +111,8 @@ class ExperimentConfig:
         if not thetas or not all(np.isfinite(thetas)):
             raise ValueError("thetas must be a nonempty list of finite reals")
         if any(abs(t) > THETA_MAX for t in thetas):
-            raise ValueError(f"|theta| must be <= {THETA_MAX:g} (exp overflow in the sampler)")
+            raise ValueError(f"|theta| must be <= {THETA_MAX:g}, so that frank_conditional_sample "
+                             "can redraw the run's samples")
         if not self.ns or any(n < MIN_N for n in self.ns):
             raise ValueError(f"all sample sizes must be >= {MIN_N}")
         for name, values in (("thetas", thetas), ("ns", self.ns)):
@@ -220,13 +221,13 @@ def _stream_key(seed: int, theta_idx: int, n_idx: int, r: int) -> int:
 _Task = namedtuple("_Task", "cell_key theta n r0 r1 table truth half_widths")
 
 
-def _keyed_draws(cell_key: int, r0: int, r1: int, n: int):
-    """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 in one re-keyed Philox.
+def _keyed_draws(rng, cell_key: int, r0: int, r1: int, n: int):
+    """Draws u and w, each (r1 - r0, n), of replicates r0..r1-1 from the Philox generator rng.
 
     ``cell_key`` is the cell's ``_stream_key`` at replicate 0; row k holds
-    what a generator keyed by ``cell_key | (r0 + k)`` draws first and second.
+    what a generator keyed by ``cell_key | (r0 + k)`` draws first and second,
+    whatever rng drew before.
     """
-    rng = np.random.Generator(np.random.Philox(key=0))
     u = np.empty((r1 - r0, n))
     w = np.empty((r1 - r0, n))
     for k, r in enumerate(range(r0, r1)):
@@ -247,9 +248,10 @@ def _keyed_draws(cell_key: int, r0: int, r1: int, n: int):
 def _rank_rows(task: _Task) -> list:
     """The ``_rank_pair_rows`` items of the task's replicates in order, a row block at a time."""
     rows = max(1, _ROW_BLOCK // task.n)
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed per replicate
     items = []
     for b in range(task.r0, task.r1, rows):
-        u, w = _keyed_draws(task.cell_key, b, min(b + rows, task.r1), task.n)
+        u, w = _keyed_draws(rng, task.cell_key, b, min(b + rows, task.r1), task.n)
         items.extend(_rank_pair_rows(u, _conditional_key(task.theta, u, w)))
     return items
 

@@ -93,9 +93,14 @@ def test_config_bandwidth_rules():
 
 
 def test_config_rejects_theta_beyond_sampler_range():
+    # the engine never calls the sampler; the bound keeps every run's samples
+    # reproducible by it, as the oracle in tests/reference.py reproduces them
     assert _small_config(thetas=(-THETA_MAX, THETA_MAX)).thetas == (-THETA_MAX, THETA_MAX)
-    with pytest.raises(ValueError, match="theta"):
+    message = "|theta| must be <= 700, so that frank_conditional_sample can redraw the run's samples"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _small_config(thetas=(1.0, 800.0))
+    with pytest.raises(ValueError, match="out of supported range"):
+        copula.frank_conditional_sample(-800.0, 0.5, 0.5)
 
 
 def test_config_rejects_duplicate_cells():
@@ -144,18 +149,25 @@ def test_stream_key_is_injective_across_fields():
     assert len(keys) == 24
 
 
+def _philox():
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def test_replicate_streams_are_distinct():
-    (a, b), _ = montecarlo._keyed_draws(_stream_key(99, 0, 0, 0), 0, 2, 4)
-    (c,), _ = montecarlo._keyed_draws(_stream_key(99, 0, 1, 0), 0, 1, 4)
+    rng = _philox()
+    (a, b), _ = montecarlo._keyed_draws(rng, _stream_key(99, 0, 0, 0), 0, 2, 4)
+    (c,), _ = montecarlo._keyed_draws(rng, _stream_key(99, 0, 1, 0), 0, 1, 4)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
 
 
 def test_chunk_engine_matches_per_replicate_reference():
     # the state reset keys every field at its widest value as a generator
-    # keyed by the documented layout does
+    # keyed by the documented layout does, whatever the generator drew before
     top = (2**64 - 1, 2**16 - 1, 2**16 - 1)
-    u, w = montecarlo._keyed_draws(_stream_key(*top, 0), 2**32 - 2, 2**32, 50)
+    rng = _philox()
+    rng.random(3)
+    u, w = montecarlo._keyed_draws(rng, _stream_key(*top, 0), 2**32 - 2, 2**32, 50)
     for k, r in enumerate((2**32 - 2, 2**32 - 1)):
         ref_u, ref_w = reference.draws(*top, r, 50)
         assert np.array_equal(u[k], ref_u)
@@ -173,7 +185,7 @@ def test_conditional_key_ranks_like_the_sampler(theta, n, seed):
     # the engine ranks the key in place of the Frank sample v. Row 1 ties
     # w = 0 (v = 0) at two positions, row 2 holds one w = 0, and row 3 holds
     # the largest w a draw can give; no numpy warning may escape the key
-    u, w = montecarlo._keyed_draws(_stream_key(seed, 0, 0, 0), 0, 4, n)
+    u, w = montecarlo._keyed_draws(_philox(), _stream_key(seed, 0, 0, 0), 0, 4, n)
     w[1, [0, n - 1]] = 0.0
     w[2, n // 2] = 0.0
     w[3, n - 2] = 1.0 - 2.0**-53

@@ -6,7 +6,8 @@ Copies REPO (by default the repository holding this script) to a temporary
 directory and runs TESTS there, unmutated and then once per mutant in
 MUTANTS, each applied alone to the copy; --only keeps the mutants whose
 name contains SUBSTRING. For each mutant it prints the test
-functions that fail, with how many of their ids fail, or SURVIVED. A
+functions that fail, with how many of their ids fail, or pytest's exit
+status when no failing test is named (see ``verdict``), or SURVIVED. A
 mutant whose line is not found exactly once in REPO prints "does not
 apply". It ends with the count of killed mutants and the wall time, and
 exits 1 if the unmutated copy fails, no mutant is selected, or any mutant
@@ -130,11 +131,16 @@ MUTANTS = [
      "if path != args.out:", "if True:"),
     ("numeric failure mapped to the usage exit in main", "cli.py",
      "return EXIT_NUMERIC", "return EXIT_USAGE"),
-    # a one-tile product is one BLAS call; later blocks add into one scratch product
+    # a one-tile product is one BLAS call; block 0's product is written to the sum's
+    # destination, and later blocks add into one scratch product
     ("one-call product widened to two tiles in _product", "estimator.py",
      "if g <= _TILE:", "if g <= 2 * _TILE:"),
     ("later blocks overwrite the sum instead of adding to it in _block_sum", "estimator.py",
-     "out += _product(fx, fy, scratch)", "out[...] = _product(fx, fy, scratch)"),
+     "out += _product(*rows(s), scratch)", "out[...] = _product(*rows(s), scratch)"),
+    ("block 0 left out of the sum in _block_sum", "estimator.py",
+     "out = _product(*rows(slice(0, _BLOCK)), out)", "out = _product(*rows(slice(0, 0)), out)"),
+    ("block 0's product not written to out in _block_sum", "estimator.py",
+     "out = _product(*rows(slice(0, _BLOCK)), out)", "out = _product(*rows(slice(0, _BLOCK)))"),
     # a theta's truth and sigma2 share one evaluation, of that theta
     ("sigma2 from another theta's denominator in _sigma2", "copula.py",
      "den = _denominator(th, ua, va)", "den = _denominator(-th, ua, va)"),
@@ -184,8 +190,13 @@ MUTANTS = [
 ]
 
 
-def failing(root: Path) -> list:
-    """Node ids of the TESTS that fail or error in the copy at root."""
+# pytest's exit statuses other than 0, every test passed
+STATUSES = {1: "tests failed", 2: "interrupted", 3: "internal error", 4: "usage or conftest error",
+            5: "no tests"}
+
+
+def run_tests(root: Path):
+    """pytest's exit status and output on the TESTS in the copy at root."""
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay from an earlier mutant
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
@@ -193,11 +204,23 @@ def failing(root: Path) -> list:
          "--continue-on-collection-errors", *TESTS],
         cwd=root, env=env, capture_output=True, text=True,
     )
+    return done.returncode, done.stdout
+
+
+def verdict(status: int, output: str) -> str:
+    """What a pytest run of the TESTS says of the code: "" if it passed, else what failed.
+
+    Status 0 passes. Status 1 lists the failing test functions, each with
+    its count of failing ids. Any other status, and a status 1 with no
+    FAILED or ERROR line, is named instead: a conftest.py that cannot
+    ``import copbands``, for one, ends pytest with status 4 and no such line.
+    """
+    if status == 0:
+        return ""
     # a parametrized id may hold spaces; " - " starts the failure message
-    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.M)
-
-
-def by_function(ids) -> str:
+    ids = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", output, re.M) if status == 1 else []
+    if not ids:
+        return f"    pytest exit status {status} ({STATUSES.get(status, 'unknown')})"
     counts = Counter(re.sub(r"\[.*\]$", "", node) for node in ids)
     return "\n".join(f"    {name} ({k} id{'s' if k > 1 else ''})" for name, k in sorted(counts.items()))
 
@@ -213,9 +236,9 @@ def main(repo: Path, only: str = "") -> int:
         root = Path(tmp) / "repo"
         shutil.copytree(repo, root, ignore=shutil.ignore_patterns(
             ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_build", ".benchmarks"))
-        broken = failing(root)
+        broken = verdict(*run_tests(root))
         if broken:
-            print("the unmutated copy fails:\n" + by_function(broken))
+            print("the unmutated copy fails:\n" + broken)
             return 1
         for name, file, line, mutated in mutants:
             path = root / "src" / "copbands" / file
@@ -225,11 +248,10 @@ def main(repo: Path, only: str = "") -> int:
                 continue
             path.write_text(source.replace(line, mutated))
             try:
-                killers = failing(root)
+                killers = verdict(*run_tests(root))
             finally:
                 path.write_text(source)
-            print(f"{name}: " + (f"killed by\n{by_function(killers)}" if killers else "SURVIVED"),
-                  flush=True)
+            print(f"{name}: " + (f"killed by\n{killers}" if killers else "SURVIVED"), flush=True)
             killed += bool(killers)
     print(f"{killed} of {len(mutants)} mutants killed in {time.monotonic() - started:.0f} s")
     return 0 if killed == len(mutants) else 1
