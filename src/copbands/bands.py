@@ -105,8 +105,8 @@ def half_width(spec: BandSpec, n: int, sigma2=None):
         return (1.0 + spec.epsilon) * spec.A / rn(n)
     if sigma2 is None:
         raise ValueError("normal bands require the variance surface sigma2")
-    if operator.index(n) < 1:
-        raise ValueError("n must be positive")
+    if isinstance(n, bool) or operator.index(n) < 1:  # a bool would pass for n = 1
+        raise ValueError(f"n must be positive and a count, not {n!r}")
     sigma2 = np.asarray(sigma2, dtype=float)
     if not np.all(sigma2 >= 0.0):
         raise NumericError("negative or NaN sigma2 value: variance surface is invalid")

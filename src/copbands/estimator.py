@@ -38,18 +38,18 @@ gathered. ``_table_stack`` sums the surfaces of many samples from table
 rows into one stack; ``rank_estimate`` is its one-sample case.
 
 The bias fold. The estimator is bilinear, Chat = (1/n) sum_i
-T[mx_i - 2]^T T[my_i - 2] for the rank table T, so the mean of B surfaces
-is T^T A / (nB), where row m - 2 of A sums the y factors of every
-observation with doubled x-rank m (``_bias_mean``). Replicates add to A in
-order, a replicate with tied x through ``np.add.at``. Without ties in x
-only A's even rows fill, and they are kept in one (n, G) array, so memory
-does not grow with B. The fold lets go of each chunk of rank rows before
-the next is built, so it holds one.
+T[mx_i - 2]^T T[my_i - 2] for the rank table T, so untied replicates
+sum to T[0::2]^T A, where row k of the (n, G) array A sums, in replicate
+order, their y factors of x-rank k + 1 (``_bias_mean``). A replicate
+with tied x adds its own undivided surface to one (G, G) sum, added to
+T[0::2]^T A (+ 0.0 keeps its bits) before the one division by nB, so
+memory does not grow with B. The fold lets go of each chunk of rank rows
+before the next is built, so it holds one.
 
 Blocks and tiles. ``_block_sum`` is the one sum: it walks blocks of 512
 observations in order and takes each block's factor rows from its
 caller, which evaluates them (``estimate_grid``), gathers them from the
-rank table (``_table_stack``) or slices the table and A (the bias fold).
+rank table (``_table_stack``, tied replicates of the fold) or slices T and A.
 A block's (G, G) product fx^T fy (``_product``) is built from tiles of
 at most 33 knots per side, one BLAS call each, so a one-tile product (G
 <= 33) is one call that writes straight into its destination. A tile
@@ -67,6 +67,7 @@ same order, and agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -229,7 +230,7 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     Returns the (|knots|, |knots|) surface, values[i, j] = Chat(knots[i], knots[j]).
     """
     knots = _check_knots(knots)
-    _check_bandwidth(h)
+    h = _check_bandwidth(h)
     n = sample.n
     (xs, ys), = _rank_pair_rows(sample.xs[None], sample.ys[None])
     if xs is None:
@@ -242,10 +243,13 @@ def estimate_grid(sample: PairedSample, h: float, knots) -> np.ndarray:
     return _block_sum(n, rows) / n
 
 
-def _check_bandwidth(h) -> None:
-    """Reject a bandwidth that is not a positive finite number."""
+def _check_bandwidth(h) -> float:
+    """The bandwidth h as a float; reject a bool, a non-number and one not positive and finite."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real):  # a bool would pass for 1.0
+        raise ValueError(f"bandwidth h must be a positive number, not {h!r}")
     if not 0.0 < h < math.inf:
         raise ValueError("bandwidth h must be positive and finite")
+    return float(h)
 
 
 def _quantiles(knots: np.ndarray, n: int):
@@ -334,26 +338,24 @@ def _table_stack(table: np.ndarray, items: list) -> np.ndarray:
 
 
 def _bias_mean(table: np.ndarray, chunks, B: int) -> np.ndarray:
-    """Mean surface of B replicates from chunks of their ``_rank_pair_rows`` items: the bias fold."""
+    """Mean surface of B replicates from chunks of their ``_rank_pair_rows`` items: the bias fold.
+
+    An untied replicate adds its y rows to the (n, G) accumulator A, a
+    replicate with tied x its undivided surface to one (G, G) sum.
+    """
     n = (table.shape[0] + 1) // 2
     even = np.zeros((n, table.shape[1]))
     rows = np.empty_like(even)
-    full = None  # every row of A, from the first replicate with tied x
-    # chain drops each chunk once its items are read, before the next is built
+    tied = np.zeros((table.shape[1], table.shape[1]))  # the surfaces of replicates with tied x
+    # chain drops each chunk once its items are read, before the next is built;
+    # ranks are in range, so "clip" only skips the bounds check
     for xs, ys in chain.from_iterable(chunks):
         if xs is None:
-            # ranks are in range, so "clip" only skips the bounds check
             even += table.take(ys, axis=0, out=rows, mode="clip")
-            continue
-        if full is None:
-            full = np.zeros(table.shape)
-        np.add.at(full, xs, table[ys])
-    if full is None:
-        factors, acc = table[0::2], even
-    else:
-        full[0::2] += even
-        factors, acc = table, full
-    return _block_sum(len(acc), lambda s: (factors[s], acc[s])) / (n * B)
+        else:
+            tied += _block_sum(n, lambda s: (table.take(xs[s], axis=0, mode="clip"),
+                                             table.take(ys[s], axis=0, mode="clip")))
+    return (_block_sum(n, lambda s: (table[0::2][s], even[s])) + tied) / (n * B)
 
 
 def rank_table(n: int, h: float, knots) -> np.ndarray:
@@ -364,11 +366,10 @@ def rank_table(n: int, h: float, knots) -> np.ndarray:
     and pass it to :func:`rank_estimate`. The table is filled block by
     block, so the build holds the table and one block's temporaries.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or (n := operator.index(n)) < 1:  # a bool would pass for n = 1
+        raise ValueError(f"n must be a count >= 1, not {n!r}")
     knots = _check_knots(knots)
-    _check_bandwidth(h)
+    h = _check_bandwidth(h)
     qk, qp = _quantiles(knots, n)
     table = np.empty((qp.size, qk.size))
     for s in _blocks(qp.size):  # ascending points: few columns per block off the plateaus

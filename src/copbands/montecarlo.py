@@ -60,7 +60,7 @@ import numpy as np
 from . import _ENGINE as __all__  # the package lists these names without loading this module
 from .bands import MIN_N, BandMethod, BandSpec, covers, half_width, rn
 from .copula import THETA_MAX, _cdf_sigma2, _conditional_key, frank_cdf
-from .estimator import _GRID_RESOLUTION, _bias_mean, _rank_pair_rows, _table_stack
+from .estimator import _GRID_RESOLUTION, _bias_mean, _check_bandwidth, _rank_pair_rows, _table_stack
 from .estimator import default_bandwidth, interior_grid, rank_table
 from .estimator import estimate_grid  # unused; bench/worker.py:hook_estimates patches it
 
@@ -132,9 +132,7 @@ class ExperimentConfig:
             if spec.method in [s.method for s in specs[:k]]:
                 raise ValueError(f"band_specs repeat the method '{spec.method.value}'")
         if self.bandwidth is not None:
-            if not isinstance(self.bandwidth, numbers.Real) or not 0 < self.bandwidth < np.inf:
-                raise ValueError("bandwidth must be None or a finite positive number")
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
+            object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "band_specs", specs)
 

@@ -36,6 +36,12 @@ def test_rn_rejects_small_n_naming_the_constraint():
         half_width(BandSpec(BandMethod.LIL), 15)
     with pytest.raises(ValueError, match="n must be positive"):
         half_width(BandSpec(BandMethod.NORMAL), 0, np.ones((3, 3)))
+    # a bool would pass for n = 1 (normal) or fail as a small n (LIL)
+    for n in (True, False):
+        with pytest.raises(ValueError, match=f"^n must be positive and a count, not {n}$"):
+            half_width(BandSpec(BandMethod.NORMAL), n, np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            half_width(BandSpec(BandMethod.LIL), n)
 
 
 def test_rn_closed_form_scaling():

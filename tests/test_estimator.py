@@ -333,6 +333,10 @@ def test_estimate_grid_rejects_bad_inputs():
     for h in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="bandwidth"):
             estimate_grid(sample, h, interior_grid(5))
+    # a bool would pass for h = 1.0, and a string is no bandwidth
+    for h in (True, False, "0.3", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="^bandwidth h must be a positive number, not "):
+            estimate_grid(sample, h, interior_grid(5))
     for knots, message in (([0.2, 0.2, 0.4], "strictly increasing"),
                            ([-0.1, 0.5], r"lie in \[0, 1\]"),
                            ([], "nonempty one-dimensional array")):
@@ -451,6 +455,12 @@ def test_rank_table_shape_and_rejects_bad_inputs():
     for h in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="bandwidth"):
             rank_table(20, h, interior_grid(5))
+    for h in (True, "0.3"):
+        with pytest.raises(ValueError, match="^bandwidth h must be a positive number, not "):
+            rank_table(20, h, interior_grid(5))
+    for n in (True, False):  # True would build the table of n = 1
+        with pytest.raises(ValueError, match=f"^n must be a count >= 1, not {n}$"):
+            rank_table(n, 0.3, interior_grid(5))
     for knots in ([0.2, 0.2, 0.4], [0.4, 0.2]):
         with pytest.raises(ValueError, match="increasing"):
             rank_table(20, 0.3, np.array(knots))

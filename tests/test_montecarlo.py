@@ -2,16 +2,21 @@
 
 import concurrent.futures
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import copbands
 import reference
 from copbands.bands import BandMethod, BandSpec
 from copbands import copula, estimator, montecarlo
@@ -88,8 +93,14 @@ def test_config_validation():
 def test_config_bandwidth_rules():
     assert _small_config().bandwidth_for(100) == pytest.approx(1.0 / math.log(100))
     assert _small_config(bandwidth=0.3).bandwidth_for(100) == 0.3
-    with pytest.raises(ValueError, match="positive number"):
-        _small_config(bandwidth=lambda n: n**-0.5)
+    for h in (np.float64(0.3), np.float32(0.5), 1):  # kept as a float of the same value
+        bandwidth = _small_config(bandwidth=h).bandwidth
+        assert type(bandwidth) is float and bandwidth == h
+    for bad in (lambda n: n**-0.5, "0.3", [0.3]):
+        with pytest.raises(ValueError, match="^bandwidth h must be a positive number, not "):
+            _small_config(bandwidth=bad)
+    with pytest.raises(ValueError, match="^bandwidth h must be positive and finite$"):
+        _small_config(bandwidth=0)
 
 
 def test_config_rejects_theta_beyond_sampler_range():
@@ -319,6 +330,32 @@ def test_worker_argument_must_be_a_positive_integer(recording_pool):
     with pytest.raises(ValueError, match="worker count must be >= 1"):
         run_coverage(cfg, workers=0)
     assert recording_pool.sizes == []
+
+
+# The pool takes the platform's default start method: fork on Linux before
+# Python 3.14, forkserver from 3.14, spawn on macOS. Spawned workers import
+# the engine afresh and see none of the parent's state, and the start method
+# is set once per interpreter, so the runs go in a new one.
+SPAWNED_RUNS = (
+    "import multiprocessing\n"
+    "multiprocessing.set_start_method('spawn')\n"
+    "from copbands.bands import BandMethod, BandSpec\n"
+    "from copbands.montecarlo import ExperimentConfig, run_bias_check, run_coverage, run_lil_check\n"
+    "cfg = ExperimentConfig(thetas=(-2.0, 1.0), ns=(16, 40), B=1000, seed=0, grid_resolution=5,\n"
+    "                       band_specs=(BandSpec(BandMethod.LIL), BandSpec(BandMethod.NORMAL)))\n"
+    "print(multiprocessing.get_start_method())\n"
+    "for run in (run_coverage, run_lil_check, run_bias_check):\n"
+    "    print(run.__name__, run(cfg, workers=2) == run(cfg, workers=1))\n"
+)
+
+
+def test_spawned_pool_gives_the_serial_reports():
+    env = {**os.environ, "PYTHONPATH": str(Path(copbands.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", SPAWNED_RUNS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["spawn", "run_coverage True", "run_lil_check True",
+                                        "run_bias_check True"]
 
 
 def test_estimate_grid_is_the_estimators():

@@ -3,16 +3,17 @@
 Usage: python tools/mutants.py [REPO] [--only SUBSTRING]
 
 Copies REPO (by default the repository holding this script) to a temporary
-directory and runs TESTS there, unmutated and then once per mutant in
-MUTANTS, each applied alone to the copy; --only keeps the mutants whose
-name contains SUBSTRING. For each mutant it prints the test
-functions that fail, with how many of their ids fail, or pytest's exit
-status when no failing test is named (see ``verdict``), or SURVIVED. A
-mutant whose line is not found exactly once in REPO prints "does not
-apply". It ends with the count of killed mutants and the wall time, and
-exits 1 if the unmutated copy fails, no mutant is selected, or any mutant
-survives or does not apply. A full run takes about twenty minutes on 2
-cores and is not part of the test suite.
+directory and runs pytest there on the ``testpaths`` of its
+pyproject.toml, unmutated and then once per mutant in MUTANTS, each
+applied alone to the copy; --only keeps the mutants whose name contains
+SUBSTRING. For each mutant it prints the test functions that fail, with
+how many of their ids fail, or pytest's exit status when no failing test
+is named (see ``verdict``), or SURVIVED. A mutant whose line is not found
+exactly once in REPO prints "does not apply". It ends with the count of
+killed mutants and the wall time, and exits 1 if the unmutated copy fails,
+no mutant is selected, or any mutant survives or does not apply. A full
+run takes about half an hour on 2 cores and is not part of the test
+suite.
 """
 
 import argparse
@@ -26,10 +27,6 @@ import time
 from collections import Counter
 from pathlib import Path
 
-TESTS = ["tests/test_specfun.py", "tests/test_copula.py", "tests/test_bands.py",
-         "tests/test_estimator.py", "tests/test_montecarlo.py", "tests/test_acceptance.py",
-         "tests/test_cli.py", "tests/test_package.py", "tests/test_golden.py"]
-
 # (name, file under src/copbands, the line's text, its mutated text)
 MUTANTS = [
     ("tie groups one rank low in _tie_ranks", "estimator.py",
@@ -38,8 +35,8 @@ MUTANTS = [
      "return np.repeat(starts + 1 + ends,", "return np.repeat(starts + 3 + ends,"),
     ("tie groups one rank low in _doubled_rank_rows only", "estimator.py",
      "m[k, order[k]] = _tie_ranks(x[k, order[k]])", "m[k, order[k]] = _tie_ranks(x[k, order[k]]) - 2"),
-    ("full[0::2] += even dropped in _bias_mean", "estimator.py",
-     "full[0::2] += even", "pass"),
+    ("surfaces of replicates with tied x dropped in _bias_mean", "estimator.py",
+     "tied += _block_sum(n, lambda s:", "tied += 0.0 * _block_sum(n, lambda s:"),
     ("bias fold divided by n (B - 1) in _bias_mean", "estimator.py",
      "/ (n * B)", "/ (n * (B - 1))"),
     ("stack /= n dropped in _table_stack", "estimator.py",
@@ -65,6 +62,19 @@ MUTANTS = [
      "return float(x[0]) if pa.ndim == 0", "return x if pa.ndim == 0"),
     ("leading central numerator coefficient off in its 15th significant digit", "specfun.py",
      "2.50908_09287_30122_6727e+3", "2.50908_09287_30132_6727e+3"),
+    # a bool is no count or bandwidth, and a bandwidth is a real number
+    ("bool check dropped in _check_bandwidth", "estimator.py",
+     "if isinstance(h, bool) or not isinstance(h, numbers.Real):",
+     "if not isinstance(h, numbers.Real):"),
+    ("bandwidth returned as given by _check_bandwidth", "estimator.py",
+     "return float(h)", "return h"),
+    ("config bandwidth left unchecked in ExperimentConfig", "montecarlo.py",
+     'object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))',
+     'object.__setattr__(self, "bandwidth", self.bandwidth)'),
+    ("bool n taken as a count in rank_table", "estimator.py",
+     "if isinstance(n, bool) or (n := operator.index(n)) < 1:", "if (n := operator.index(n)) < 1:"),
+    ("bool n taken as a count in half_width", "bands.py",
+     "if isinstance(n, bool) or operator.index(n) < 1:", "if operator.index(n) < 1:"),
     ("bool check dropped in BandSpec", "bands.py",
      "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
      "if not isinstance(value, numbers.Real):"),
@@ -196,19 +206,19 @@ STATUSES = {1: "tests failed", 2: "interrupted", 3: "internal error", 4: "usage 
 
 
 def run_tests(root: Path):
-    """pytest's exit status and output on the TESTS in the copy at root."""
+    """pytest's exit status and output on the configured test paths of the copy at root."""
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)  # no replay from an earlier mutant
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
-         "--continue-on-collection-errors", *TESTS],
+         "--continue-on-collection-errors"],
         cwd=root, env=env, capture_output=True, text=True,
     )
     return done.returncode, done.stdout
 
 
 def verdict(status: int, output: str) -> str:
-    """What a pytest run of the TESTS says of the code: "" if it passed, else what failed.
+    """What a pytest run says of the code: "" if it passed, else what failed.
 
     Status 0 passes. Status 1 lists the failing test functions, each with
     its count of failing ids. Any other status, and a status 1 with no
